@@ -1,9 +1,8 @@
 //! Serve-layer throughput: requests/s of the NDJSON TCP server at 1
 //! worker vs all-core workers, each measured with micro-batching off
 //! and on, with concurrent closed-loop clients — plus the `--numerics
-//! fast` and `--numerics quantized` tiers at each worker count so the
-//! latency win of approximate inference is a recorded number, not a
-//! claim.
+//! quantized` tier at each worker count so the latency win of
+//! approximate inference is a recorded number, not a claim.
 //!
 //! Each arm starts a real server on an ephemeral port, drives it with
 //! `CLIENTS` threads doing request/reply round trips, and reads
@@ -395,13 +394,12 @@ fn main() {
 
     // Each worker count gets an unbatched arm (batch_max 1: the legacy
     // per-worker path), a batched arm (micro-batching + encoder cache)
-    // and the two approximate-numerics arms (unbatched, so the tier
-    // delta is not confounded with cache effects).
+    // and the quantized-numerics arm (unbatched, so the tier delta is
+    // not confounded with cache effects).
     let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, speedup vs exact unbatched same workers)
     for &w in &settings {
         let off = measure(w, 1, Numerics::Exact, load(), &dataset, 0);
         let on = measure(w, BATCH_MAX, Numerics::Exact, load(), &dataset, 0);
-        let fast = measure(w, 1, Numerics::Fast, load(), &dataset, 0);
         let quant = measure(w, 1, Numerics::Quantized, load(), &dataset, 0);
         let base_off = off.requests_per_sec;
         println!(
@@ -421,23 +419,19 @@ fn main() {
             on.p50_us as f64 / 1000.0,
             on.p99_us as f64 / 1000.0
         );
-        for r in [&fast, &quant] {
-            println!(
-                "workers {:>2} {:>9}: {:>8.1} req/s  ({:.2}x vs exact unbatched, p50 {:.3} ms, p99 {:.3} ms)",
-                r.workers,
-                r.numerics.as_str(),
-                r.requests_per_sec,
-                r.requests_per_sec / base_off,
-                r.p50_us as f64 / 1000.0,
-                r.p99_us as f64 / 1000.0
-            );
-        }
+        println!(
+            "workers {:>2} {:>9}: {:>8.1} req/s  ({:.2}x vs exact unbatched, p50 {:.3} ms, p99 {:.3} ms)",
+            quant.workers,
+            quant.numerics.as_str(),
+            quant.requests_per_sec,
+            quant.requests_per_sec / base_off,
+            quant.p50_us as f64 / 1000.0,
+            quant.p99_us as f64 / 1000.0
+        );
         let on_speedup = on.requests_per_sec / base_off;
-        let fast_speedup = fast.requests_per_sec / base_off;
         let quant_speedup = quant.requests_per_sec / base_off;
         rows.push((off, 1.0));
         rows.push((on, on_speedup));
-        rows.push((fast, fast_speedup));
         rows.push((quant, quant_speedup));
     }
 

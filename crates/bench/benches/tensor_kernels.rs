@@ -1,22 +1,27 @@
-//! Matmul-kernel and tape-reuse micro-benchmarks for the tensor
+//! Matmul-kernel, op and tape-reuse micro-benchmarks for the tensor
 //! engine's hot loop.
 //!
-//! Three measurements, written to `results/tensor_kernels.json`:
+//! Four measurements, written to `results/tensor_kernels.json`:
 //!
 //! 1. **Kernel sweep** — square-matmul GFLOP-rate of the blocked,
 //!    B-packed forward kernel vs the naive reference, both backward
-//!    accumulation kernels, and the fast (FMA) and quantized (i8)
-//!    inference tiers, at n ∈ {16, 32, 64, 128, 256}.
-//! 2. **Tape reuse** — forward+backward throughput of a small MLP-like
+//!    accumulation kernels, and the quantized (i8) inference tier, at
+//!    n ∈ {16, 32, 64, 128, 256}.
+//! 2. **Op timings** — per-call cost of the two non-matmul ops the
+//!    decoders lean on (masked row softmax, one LSTM step), each on a
+//!    pooled tape cleared between calls so the number is the op, not
+//!    allocation.
+//! 3. **Tape reuse** — forward+backward throughput of a small MLP-like
 //!    program on a fresh `Tape::new()` per iteration vs one pooled
 //!    tape reset with `Tape::clear()`, and the pool hit rate showing
 //!    how many heap allocations the pool absorbs.
-//! 3. **Op profile** — the per-op call/flop/byte counters the tensor
+//! 4. **Op profile** — the per-op call/flop/byte counters the tensor
 //!    layer publishes to the global metrics registry, accumulated over
 //!    a batch of real end-to-end predictions, so the bench records
 //!    *where* the model's arithmetic actually goes.
 
 use rtp_bench::{bench_dataset, bench_meta_json, bench_model};
+use rtp_tensor::nn::LstmCell;
 use rtp_tensor::{kernels, GradBuffer, Numerics, ParamStore, QuantizedMatrix, Tape};
 use std::time::Instant;
 
@@ -63,7 +68,6 @@ struct KernelRow {
     blocked_gflops: f64,
     grad_a_gflops: f64,
     grad_b_gflops: f64,
-    fast_gflops: f64,
     q8_gflops: f64,
     speedup: f64,
 }
@@ -83,7 +87,6 @@ fn kernel_sweep() -> Vec<KernelRow> {
 
             let naive = time_per_call(|| kernels::matmul_naive(&a, &b, &mut out, n, n, n));
             let blocked = time_per_call(|| kernels::matmul(&a, &b, &mut out, n, n, n));
-            let fast = time_per_call(|| kernels::matmul_fast(&a, &b, &mut out, n, n, n));
             let q8 = time_per_call(|| rtp_tensor::simd::matmul_q8(&a, &qb, &mut out, n, n, n));
             let grad_a = time_per_call(|| {
                 acc.iter_mut().for_each(|x| *x = 0.0);
@@ -99,18 +102,53 @@ fn kernel_sweep() -> Vec<KernelRow> {
                 blocked_gflops: flops / blocked / 1e9,
                 grad_a_gflops: flops / grad_a / 1e9,
                 grad_b_gflops: flops / grad_b / 1e9,
-                fast_gflops: flops / fast / 1e9,
                 q8_gflops: flops / q8 / 1e9,
                 speedup: naive / blocked,
             };
             println!(
-                "n={:>3}: naive {:>6.2} GF/s  blocked {:>6.2} GF/s  ({:.2}x)  fast {:>6.2}  q8 {:>6.2}  gA {:>6.2}  gB {:>6.2}",
-                row.n, row.naive_gflops, row.blocked_gflops, row.speedup, row.fast_gflops,
-                row.q8_gflops, row.grad_a_gflops, row.grad_b_gflops
+                "n={:>3}: naive {:>6.2} GF/s  blocked {:>6.2} GF/s  ({:.2}x)  q8 {:>6.2}  gA {:>6.2}  gB {:>6.2}",
+                row.n, row.naive_gflops, row.blocked_gflops, row.speedup, row.q8_gflops,
+                row.grad_a_gflops, row.grad_b_gflops
             );
             row
         })
         .collect()
+}
+
+/// Microseconds per call of `masked_softmax_rows` on an n×n block
+/// (n ∈ {10, 20, 40}, a third of the entries masked) and of one 32-wide
+/// LSTM step. Inputs live in a `ParamStore` and are loaded with
+/// `Tape::param`, which copies into pooled buffers, so after the first
+/// call nothing is allocated.
+fn op_timings() -> Vec<(String, f64)> {
+    let mut store = ParamStore::new(3);
+    let mut rows = Vec::new();
+    let mut tape = Tape::new();
+    for n in [10usize, 20, 40] {
+        let mut vals = vec![0.0f32; n * n];
+        fill(&mut vals, 5 + n as u32);
+        let x = store.add_param(&format!("softmax{n}"), n, n, vals);
+        let mask: Vec<bool> = (0..n * n).map(|i| i % 3 != 0).collect();
+        let secs = time_per_call(|| {
+            tape.clear();
+            let xt = tape.param(&store, x);
+            std::hint::black_box(tape.masked_softmax_rows(xt, &mask));
+        });
+        rows.push((format!("masked_softmax_rows_n{n}_us"), secs * 1e6));
+    }
+    let cell = LstmCell::new(&mut store, "lstm", 32, 32);
+    let input = store.add_param("lstm_in", 1, 32, vec![0.3; 32]);
+    let secs = time_per_call(|| {
+        tape.clear();
+        let x = tape.param(&store, input);
+        let state = cell.zero_state(&mut tape);
+        std::hint::black_box(cell.step(&mut tape, &store, x, state));
+    });
+    rows.push(("lstm_step_32_us".to_string(), secs * 1e6));
+    for (name, us) in &rows {
+        println!("{name}: {us:.3}");
+    }
+    rows
 }
 
 /// Runs a batch of real predictions on a fresh inference tape and
@@ -211,6 +249,8 @@ fn tape_reuse() -> ReuseResult {
 fn main() {
     println!("== matmul kernel sweep ==");
     let rows = kernel_sweep();
+    println!("== op timings ==");
+    let ops = op_timings();
     println!("== tape reuse ==");
     let reuse = tape_reuse();
     println!("== op profile ==");
@@ -220,16 +260,19 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup\": {:.3}, \"grad_a_gflops\": {:.3}, \"grad_b_gflops\": {:.3}, \"fast_gflops\": {:.3}, \"q8_gflops\": {:.3}}}",
+                "    {{\"n\": {}, \"naive_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \"speedup\": {:.3}, \"grad_a_gflops\": {:.3}, \"grad_b_gflops\": {:.3}, \"q8_gflops\": {:.3}}}",
                 r.n, r.naive_gflops, r.blocked_gflops, r.speedup, r.grad_a_gflops,
-                r.grad_b_gflops, r.fast_gflops, r.q8_gflops
+                r.grad_b_gflops, r.q8_gflops
             )
         })
         .collect();
+    let op_entries: Vec<String> =
+        ops.iter().map(|(name, us)| format!("    \"{name}\": {us:.3}")).collect();
     let json = format!(
-        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"tape_reuse\": {{\n    \"fresh_passes_per_sec\": {:.1},\n    \"reused_passes_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \"pool_hits\": {},\n    \"pool_misses\": {},\n    \"pool_hit_rate\": {:.4}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"op_timings\": {{\n{}\n  }},\n  \"tape_reuse\": {{\n    \"fresh_passes_per_sec\": {:.1},\n    \"reused_passes_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \"pool_hits\": {},\n    \"pool_misses\": {},\n    \"pool_hit_rate\": {:.4}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
         bench_meta_json(),
         entries.join(",\n"),
+        op_entries.join(",\n"),
         reuse.fresh_passes_per_sec,
         reuse.reused_passes_per_sec,
         reuse.speedup,

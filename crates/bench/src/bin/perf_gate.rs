@@ -83,7 +83,6 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
                         "blocked_gflops",
                         "grad_a_gflops",
                         "grad_b_gflops",
-                        "fast_gflops",
                         "q8_gflops",
                     ] {
                         if let Some(x) = get_num(row, key) {
@@ -303,7 +302,6 @@ fn headline(bench: &str) -> Vec<&'static str> {
             "matmul.n128.blocked_gflops",
             "matmul.n128.grad_a_gflops",
             "matmul.n128.grad_b_gflops",
-            "matmul.n128.fast_gflops",
             "matmul.n128.q8_gflops",
             "tape_reuse.reused_passes_per_sec",
         ],

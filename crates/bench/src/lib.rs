@@ -1,13 +1,15 @@
 //! # rtp-bench
 //!
-//! Criterion benchmarks for the M²G4RTP reproduction:
+//! Benchmarks for the M²G4RTP reproduction:
 //!
 //! * `inference` — per-model single-query latency (paper Table V).
 //! * `encoder_scaling` — GAT-e forward cost vs the number of locations.
-//! * `tensor_ops` — substrate micro-benches (matmul, softmax, LSTM
-//!   step, full backward).
 //! * `simulator` — world generation, behaviour simulation and graph
 //!   construction throughput.
+//! * `tensor_kernels` — matmul kernel sweep, masked-softmax and
+//!   LSTM-step timings, tape reuse and the per-op profile.
+//! * `training_throughput`, `serve_throughput`, `obs_overhead` —
+//!   end-to-end training and serving rates and the telemetry cost.
 //!
 //! Shared fixtures live here so every bench sees identical inputs.
 

@@ -60,7 +60,7 @@ pub enum Command {
         model: String,
         /// Dataset JSON path.
         dataset: String,
-        /// Numerics tier: "exact", "fast" or "quantized".
+        /// Numerics tier: "exact" or "quantized".
         numerics: String,
     },
     /// Serve one or more model shards over TCP (newline-delimited
@@ -74,9 +74,6 @@ pub enum Command {
         models: Vec<(String, String)>,
         /// Dataset JSON path (city/fleet context).
         dataset: String,
-        /// Connection front end: "evented" (epoll reactor, default) or
-        /// "threaded" (legacy blocking acceptor).
-        frontend: String,
         /// TCP port (0 = ephemeral).
         port: u16,
         /// Maximum requests to serve before exiting (0 = forever).
@@ -91,7 +88,7 @@ pub enum Command {
         batch_max: usize,
         /// Micro-batch collection window, microseconds.
         batch_window_us: u64,
-        /// Numerics tier: "exact", "fast" or "quantized".
+        /// Numerics tier: "exact" or "quantized".
         numerics: String,
         /// Periodic Prometheus snapshot path (empty = off).
         metrics_file: String,
@@ -150,11 +147,11 @@ USAGE:
   rtp train    --dataset <dataset.json> [--epochs N] [--variant V] [--seed N] [--threads N] [--log-json spans.jsonl]
                [--checkpoint-dir DIR] [--resume] --out <model.json>
   rtp predict  --model <model.json> --dataset <dataset.json> --sample <idx> [--beam W]
-  rtp evaluate --model <model.json> --dataset <dataset.json> [--numerics exact|fast|quantized]
+  rtp evaluate --model <model.json> --dataset <dataset.json> [--numerics exact|quantized]
   rtp serve    --model <model.json> --dataset <dataset.json> [--port P] [--max-requests N]
-               [--workers N] [--frontend evented|threaded] [--idle-timeout-secs S]
+               [--workers N] [--idle-timeout-secs S]
                [--allow-shutdown] [--batch-max N] [--batch-window-us U]
-               [--numerics exact|fast|quantized] [--metrics-file PATH]
+               [--numerics exact|quantized] [--metrics-file PATH]
                [--metrics-interval-secs S] [--flight-dump PATH]
   rtp online   --model <model.json> --dataset <dataset.json> --addr <host:port> --out <model.json>
                [--shard NAME] [--rounds N] [--epochs-per-round N] [--seed N] [--threads N]
@@ -228,7 +225,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
     let mut out = String::new();
     let mut dataset = String::new();
     let mut models: Vec<String> = Vec::new();
-    let mut frontend = "evented".to_string();
     let mut epochs = 0usize;
     let mut threads = 0usize;
     let mut variant = "full".to_string();
@@ -263,14 +259,18 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
             // Repeatable for `serve` (shards); single-valued commands
             // take the last occurrence, the historical behaviour.
             "--model" => models.push(v(&mut it)?),
-            "--frontend" => {
-                frontend = v(&mut it)?;
-                if !["evented", "threaded"].contains(&frontend.as_str()) {
-                    return Err(ParseError(format!(
-                        "unknown frontend `{frontend}` (evented|threaded)"
-                    )));
+            // The epoll reactor is the only front end; `evented` stays
+            // accepted as a no-op so existing command lines keep working.
+            "--frontend" => match v(&mut it)?.as_str() {
+                "evented" => {}
+                "threaded" => {
+                    return Err(ParseError(
+                        "`--frontend threaded` was removed: the evented front end is the only one"
+                            .into(),
+                    ))
                 }
-            }
+                other => return Err(ParseError(format!("unknown frontend `{other}` (evented)"))),
+            },
             "--epochs" => {
                 epochs = v(&mut it)?.parse().map_err(|_| ParseError("bad --epochs".into()))?
             }
@@ -323,9 +323,14 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
             }
             "--numerics" => {
                 numerics = v(&mut it)?;
-                if !["exact", "fast", "quantized"].contains(&numerics.as_str()) {
+                if numerics == "fast" {
+                    return Err(ParseError(
+                        "`--numerics fast` was removed: use exact or quantized".into(),
+                    ));
+                }
+                if !["exact", "quantized"].contains(&numerics.as_str()) {
                     return Err(ParseError(format!(
-                        "unknown numerics tier `{numerics}` (exact|fast|quantized)"
+                        "unknown numerics tier `{numerics}` (exact|quantized)"
                     )));
                 }
             }
@@ -399,7 +404,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
             Command::Serve {
                 models: parse_shard_models(&models)?,
                 dataset,
-                frontend,
                 port,
                 max_requests,
                 workers,
@@ -691,7 +695,7 @@ mod tests {
         let cli = parse(&["serve", "--model", "m", "--dataset", "d"]).unwrap();
         assert!(matches!(cli.command, Command::Serve { ref numerics, .. } if numerics == "exact"));
 
-        for tier in ["exact", "fast", "quantized"] {
+        for tier in ["exact", "quantized"] {
             let cli =
                 parse(&["serve", "--model", "m", "--dataset", "d", "--numerics", tier]).unwrap();
             assert!(matches!(cli.command, Command::Serve { ref numerics, .. } if numerics == tier));
@@ -703,15 +707,19 @@ mod tests {
         }
         assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--numerics", "f16"]).is_err());
         assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--numerics"]).is_err());
+        for sub in ["serve", "evaluate"] {
+            let err = parse(&[sub, "--model", "m", "--dataset", "d", "--numerics", "fast"])
+                .expect_err("the fast tier is gone");
+            assert!(err.0.contains("`--numerics fast` was removed"), "{err}");
+        }
     }
 
     #[test]
     fn serve_single_bare_model_is_the_default_shard() {
         let cli = parse(&["serve", "--model", "m.json", "--dataset", "d.json"]).unwrap();
         match cli.command {
-            Command::Serve { models, frontend, .. } => {
+            Command::Serve { models, .. } => {
                 assert_eq!(models, vec![("default".to_string(), "m.json".to_string())]);
-                assert_eq!(frontend, "evented", "epoll front end is the default");
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -766,13 +774,38 @@ mod tests {
 
     #[test]
     fn parses_frontend_flag() {
-        for fe in ["evented", "threaded"] {
-            let cli =
-                parse(&["serve", "--model", "m", "--dataset", "d", "--frontend", fe]).unwrap();
-            assert!(matches!(cli.command, Command::Serve { ref frontend, .. } if frontend == fe));
-        }
+        let plain = parse(&["serve", "--model", "m", "--dataset", "d"]).unwrap();
+        let evented =
+            parse(&["serve", "--model", "m", "--dataset", "d", "--frontend", "evented"]).unwrap();
+        assert_eq!(plain, evented);
+        let err = parse(&["serve", "--model", "m", "--dataset", "d", "--frontend", "threaded"])
+            .expect_err("the threaded front end is gone");
+        assert!(err.0.contains("`--frontend threaded` was removed"), "{err}");
         assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--frontend", "poll"]).is_err());
         assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--frontend"]).is_err());
+    }
+
+    /// The benchmark (`perfbench/`) starts `rtp serve` with a fixed flag
+    /// set; a parser change that rejects it would break the benchmark,
+    /// so the flags are read from its source and parsed here.
+    #[test]
+    fn parses_the_benchmark_server_flags() {
+        let source = include_str!("../../../perfbench/src/session.rs");
+        let start = source.find("const SERVER_FLAGS").expect("SERVER_FLAGS is declared");
+        let body = &source[start..];
+        let body = &body[body.find("= [").expect("array literal")..body.find("];").expect("end")];
+        let flags: Vec<&str> = body.split('"').skip(1).step_by(2).collect();
+        assert!(flags.contains(&"--frontend") && flags.contains(&"--numerics"), "{flags:?}");
+        let mut args = vec!["serve", "--model", "m.json", "--dataset", "d.json"];
+        args.extend(&flags);
+        match parse(&args).expect("the benchmark's server command line parses").command {
+            Command::Serve { workers, batch_max, numerics, allow_shutdown, .. } => {
+                assert_eq!((workers, batch_max), (2, 8));
+                assert_eq!(numerics, "exact");
+                assert!(allow_shutdown);
+            }
+            other => panic!("wrong command {other:?}"),
+        }
     }
 
     #[test]

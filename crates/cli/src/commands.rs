@@ -179,7 +179,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             port,
             max_requests,
             workers,
-            frontend,
             idle_timeout_secs,
             allow_shutdown,
             batch_max,
@@ -197,16 +196,10 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
                 // through the hot-swap machinery.
                 shards.push(serve::ShardSpec::with_path(name, model, path));
             }
-            let frontend = match frontend.as_str() {
-                "threaded" => serve::FrontEnd::Threaded,
-                "evented" => serve::FrontEnd::Evented,
-                other => unreachable!("parser rejects frontend {other}"),
-            };
             let opts = serve::ServeOptions {
                 port,
                 max_requests,
                 workers,
-                frontend,
                 idle_timeout: (idle_timeout_secs > 0)
                     .then(|| std::time::Duration::from_secs(idle_timeout_secs)),
                 allow_shutdown,

@@ -1,19 +1,18 @@
-//! Evented (epoll) connection front end for the serve stack: one
-//! reactor thread multiplexes every client socket through a raw,
-//! hand-rolled `epoll` readiness loop — no `libc` crate, no new deps,
-//! the same vendoring policy as the rest of the workspace — and hands
-//! complete NDJSON request lines to the existing worker pool.
+//! The serve stack's connection front end: one reactor thread
+//! multiplexes every client socket through a raw, hand-rolled `epoll`
+//! readiness loop — no `libc` crate, no new deps, the same vendoring
+//! policy as the rest of the workspace — and hands connections with
+//! complete NDJSON request lines to the worker pool's run queue.
 //!
 //! # Why a readiness loop
 //!
-//! The thread-per-connection front end spends a worker thread (and a
-//! 50 ms polling read timeout) per open connection, which caps the
-//! server at "workers" concurrent clients and burns wakeups while they
-//! idle. Here the reactor owns *all* sockets: an idle connection costs
-//! one `epoll` registration and a ~100-byte [`EvConn`] — no thread, no
-//! timer churn — so thousands of open-but-quiet couriers are free, and
-//! the worker pool only ever sees connections that have a complete
-//! request line ready.
+//! A thread per connection would cap the server at "workers"
+//! concurrent clients and burn wakeups while they idle. Here the
+//! reactor owns *all* sockets: an idle connection costs one `epoll`
+//! registration and a ~100-byte [`EvConn`] — no thread, no timer churn
+//! — so thousands of open-but-quiet couriers are free, and the worker
+//! pool only ever sees connections that have a complete request line
+//! ready.
 //!
 //! # Architecture
 //!
@@ -24,8 +23,10 @@
 //! * **Line assembly** ([`LineBuffer`]): per-connection byte buffers
 //!   that survive partial reads — a client may dribble one request
 //!   byte-per-write across many readiness events and the line is
-//!   assembled exactly once, with UTF-8 validated per completed line
-//!   (matching the blocking front end's `read_line` semantics).
+//!   assembled exactly once, with UTF-8 validated per completed line.
+//!   A line longer than [`MAX_LINE_BYTES`] closes its connection
+//!   after one best-effort error line (`EventSink::oversize_line`), so
+//!   buffered bytes per connection stay bounded.
 //! * **Dispatch** ([`EvConn`]): completed lines are queued on the
 //!   connection; the *first* line to land on an unclaimed connection
 //!   sends the connection handle to the worker pool, and the claiming
@@ -303,10 +304,24 @@ impl TimerWheel {
 // Per-connection line assembly
 // ---------------------------------------------------------------------------
 
+/// The longest request line the reactor buffers, terminator excluded:
+/// 1 MiB, about 800× a query line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Why a connection's bytes cannot become request lines; either way
+/// the connection is closed.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LineError {
+    /// A completed line is not valid UTF-8 (an I/O-class error).
+    NotUtf8,
+    /// A line grew past [`MAX_LINE_BYTES`] before its `\n` arrived.
+    TooLong,
+}
+
 /// Accumulates raw socket bytes and yields complete `\n`-terminated
 /// lines; a partial trailing line survives until more bytes (or EOF)
 /// arrive. UTF-8 is validated per completed line so the error maps to
-/// exactly one connection, like the blocking front end's `read_line`.
+/// exactly one connection.
 #[derive(Default)]
 pub struct LineBuffer {
     partial: Vec<u8>,
@@ -314,34 +329,39 @@ pub struct LineBuffer {
 
 impl LineBuffer {
     /// Feeds one chunk of socket bytes; returns every line completed by
-    /// it (without the terminator). `Err` means a completed line was
-    /// not valid UTF-8 — an I/O-class error for the caller to count.
-    pub fn push(&mut self, bytes: &[u8]) -> std::io::Result<Vec<String>> {
+    /// it (without the terminator). On `Err` the connection is to be
+    /// closed, and lines completed earlier in the same chunk go with it.
+    pub fn push(&mut self, bytes: &[u8]) -> Result<Vec<String>, LineError> {
         let mut lines = Vec::new();
         let mut rest = bytes;
         while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
             let (head, tail) = rest.split_at(pos);
-            self.partial.extend_from_slice(head);
+            self.extend(head)?;
             rest = &tail[1..];
-            let raw = std::mem::take(&mut self.partial);
-            let line = String::from_utf8(raw).map_err(|_| {
-                std::io::Error::new(ErrorKind::InvalidData, "request line is not valid UTF-8")
-            })?;
-            lines.push(line);
+            lines.push(Self::decode(std::mem::take(&mut self.partial))?);
         }
-        self.partial.extend_from_slice(rest);
+        self.extend(rest)?;
         Ok(lines)
     }
 
     /// Flushes the trailing unterminated line at EOF, if any.
-    pub fn take_partial(&mut self) -> std::io::Result<Option<String>> {
+    pub fn take_partial(&mut self) -> Result<Option<String>, LineError> {
         if self.partial.is_empty() {
             return Ok(None);
         }
-        let raw = std::mem::take(&mut self.partial);
-        String::from_utf8(raw).map(Some).map_err(|_| {
-            std::io::Error::new(ErrorKind::InvalidData, "request line is not valid UTF-8")
-        })
+        Self::decode(std::mem::take(&mut self.partial)).map(Some)
+    }
+
+    fn extend(&mut self, bytes: &[u8]) -> Result<(), LineError> {
+        if self.partial.len() + bytes.len() > MAX_LINE_BYTES {
+            return Err(LineError::TooLong);
+        }
+        self.partial.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn decode(raw: Vec<u8>) -> Result<String, LineError> {
+        String::from_utf8(raw).map_err(|_| LineError::NotUtf8)
     }
 
     /// Bytes buffered toward an incomplete line.
@@ -486,6 +506,18 @@ impl EvConn {
         Ok(())
     }
 
+    /// Closes the connection from the reactor with a one-line
+    /// explanation. The line is sent with at most one nonblocking write,
+    /// and only while no worker holds the claim (a claim holder may be
+    /// mid-reply on the same socket); only the reactor sets claims, so
+    /// the check cannot go stale under it.
+    fn reject(&self, reply: &[u8]) {
+        if !self.lock_q().claimed {
+            let _ = (&self.stream).write(reply);
+        }
+        self.close();
+    }
+
     /// Marks the connection dead and shuts the socket down; the
     /// resulting readiness event makes the reactor deregister it. Safe
     /// to call from either side, idempotent.
@@ -545,11 +577,13 @@ pub trait EventSink: Sync {
     fn conn_error(&self);
     /// An idle connection was reaped by the timer wheel.
     fn conn_timeout(&self);
-    /// An accepted connection could not be handed to the worker pool
-    /// (pool already drained); the socket is closed unanswered.
+    /// A connection was closed for a line over [`MAX_LINE_BYTES`].
+    fn oversize_line(&self);
+    /// A connection could not be handed to the worker pool (its run
+    /// queue already closed); the socket is closed unanswered.
     fn dropped_dispatch(&self);
     /// Hands a connection with queued lines to the worker pool.
-    /// Returns `false` when the pool is gone.
+    /// Returns `false` when the pool's run queue is closed.
     fn dispatch(&self, conn: Arc<EvConn>) -> bool;
 }
 
@@ -560,9 +594,7 @@ struct ConnIo {
 }
 
 /// Reactor tick granularity: the timer wheel's resolution (idle reaps
-/// land within one tick after the deadline) and the fairness cap
-/// period. Chosen to match the old front end's polling interval so
-/// test timing envelopes carry over.
+/// land within one tick after the deadline).
 const TICK: Duration = Duration::from_millis(50);
 
 /// Per-readiness-event read budget before yielding back to the loop
@@ -572,10 +604,9 @@ const READ_CHUNKS_PER_EVENT: usize = 16;
 
 const LISTENER_TOKEN: u64 = 0;
 
-/// Runs the evented accept/read loop until shutdown. Blocks the
-/// calling thread (the serve front end runs it where the blocking
-/// acceptor used to live). Returns `Err` only for reactor-fatal
-/// conditions (epoll itself failing), never for per-connection trouble.
+/// Runs the evented accept/read loop until shutdown, blocking the
+/// calling thread. Returns `Err` only for reactor-fatal conditions
+/// (epoll itself failing), never for per-connection trouble.
 pub fn run(
     listener: &TcpListener,
     idle_timeout: Option<Duration>,
@@ -733,9 +764,21 @@ fn read_ready(token: u64, epoll: &Epoll, conns: &mut HashMap<u64, ConnIo>, sink:
                             }
                         }
                     }
-                    Err(_) => {
+                    Err(LineError::NotUtf8) => {
                         sink.conn_error();
                         io.conn.close();
+                        remove_conn(token, epoll, conns, sink);
+                        return;
+                    }
+                    Err(LineError::TooLong) => {
+                        sink.oversize_line();
+                        io.conn.reject(
+                            format!(
+                                "{{\"error\":\"request line exceeds {MAX_LINE_BYTES} bytes; \
+                                 connection closed\"}}\n"
+                            )
+                            .as_bytes(),
+                        );
                         remove_conn(token, epoll, conns, sink);
                         return;
                     }
@@ -815,6 +858,24 @@ mod tests {
         assert!(lb.push(b"\n").is_err());
         // The buffer recovers for the next line.
         assert_eq!(lb.push(b"ok\n").unwrap(), vec!["ok".to_string()]);
+    }
+
+    #[test]
+    fn line_buffer_refuses_a_line_over_the_cap_without_buffering_it() {
+        let mut lb = LineBuffer::default();
+        let max = vec![b'x'; MAX_LINE_BYTES];
+        // A line of exactly the cap, dribbled in halves, is still a line.
+        assert!(lb.push(&max[..MAX_LINE_BYTES / 2]).unwrap().is_empty());
+        assert!(lb.push(&max[MAX_LINE_BYTES / 2..]).unwrap().is_empty());
+        assert_eq!(lb.push(b"\n").unwrap().len(), 1);
+        // One byte more is refused before it is buffered…
+        assert!(lb.push(&max).unwrap().is_empty());
+        assert_eq!(lb.push(b"y"), Err(LineError::TooLong));
+        assert_eq!(lb.pending(), MAX_LINE_BYTES);
+        // …also when the whole oversize line arrives in one chunk.
+        let mut over = vec![b'x'; MAX_LINE_BYTES + 1];
+        over.push(b'\n');
+        assert_eq!(LineBuffer::default().push(&over), Err(LineError::TooLong));
     }
 
     #[test]

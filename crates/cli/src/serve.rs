@@ -5,31 +5,31 @@
 //!
 //! # Concurrency model
 //!
-//! Two front ends feed one fixed pool of worker threads (`--workers
-//! N`, `0` = all cores, the same std-thread scaffolding as
-//! `rtp_tensor::parallel`):
+//! One reactor thread multiplexes *every* client socket through a
+//! hand-rolled epoll readiness loop ([`crate::evented`]) — nonblocking
+//! accept, per-connection read buffers with partial-line preservation
+//! and a line-length cap, idle reaping via a timer wheel — and feeds
+//! one fixed pool of worker threads (`--workers N`, `0` = all cores,
+//! the same std-thread scaffolding as `rtp_tensor::parallel`). An idle
+//! connection costs an epoll registration, not a thread, so 10k open
+//! couriers are as cheap as 10.
 //!
-//! * **evented** (the default): one reactor thread multiplexes *every*
-//!   client socket through a hand-rolled epoll readiness loop
-//!   ([`crate::evented`]) — nonblocking accept, per-connection read
-//!   buffers with partial-line preservation, idle reaping via a timer
-//!   wheel — and hands connections with complete request lines to the
-//!   pool. An idle connection costs an epoll registration, not a
-//!   thread, so 10k open couriers are as cheap as 10.
-//! * **threaded** (`--frontend threaded`): the legacy blocking
-//!   acceptor that dispatches whole connections to the pool, one
-//!   worker per live connection. Retained both as the fallback and as
-//!   the in-process twin for byte-identity testing of the reactor.
+//! The pool's only input is one FIFO **run queue** of connections
+//! (`Mutex<VecDeque>` + `Condvar` + a closed flag). The reactor pushes a
+//! connection when a complete line lands on it unclaimed; a worker
+//! drains at most `DRAIN_QUANTUM` of its lines and pushes a
+//! still-busy connection back to the tail, so every connection's wait —
+//! an operator's `reload` line included — is bounded by the quanta
+//! already queued ahead of it.
 //!
-//! In both, each worker owns its **own** [`RtpService`] per shard —
-//! one pooled no-grad tape per (worker, shard) lane — over shared
-//! read-only `Arc<M2G4Rtp>`s, so inference never contends on a global
-//! mutex and per-worker tape reuse cannot change numerics
-//! (cleared-tape reuse is bit-identical to a fresh tape). Replies on
-//! one connection keep request order under either front end: the
-//! threaded path is sequential per connection, and the evented path
-//! enforces a per-connection claim (at most one worker drains a
-//! connection's line queue at a time).
+//! Each worker owns its **own** [`RtpService`] per shard — one pooled
+//! no-grad tape per (worker, shard) lane — over shared read-only
+//! `Arc<M2G4Rtp>`s, so inference never contends on a global mutex and
+//! per-worker tape reuse cannot change numerics (cleared-tape reuse is
+//! bit-identical to a fresh tape). Replies on one connection keep
+//! request order: a per-connection claim lets at most one worker drain
+//! a connection's line queue at a time, and the claim travels with the
+//! connection through the run queue.
 //!
 //! # Shard router (`--model [NAME=]PATH`, repeatable)
 //!
@@ -115,20 +115,22 @@
 //!   [`handle_line`]), answers a best-effort error line, drops only
 //!   that connection and increments `serve.panics`; the worker's tape
 //!   mutex recovers by swapping in a fresh tape;
-//! * a client idle longer than `--idle-timeout-secs` is reaped
-//!   (`serve.timeouts`) — by the reactor's timer wheel on the evented
-//!   front end, by a polling read timeout on the threaded one;
-//! * an accepted connection that cannot be handed to the pool because
-//!   the pool already drained (a shutdown race) is counted as
-//!   `serve.dropped_accepts` and answered with a best-effort
-//!   `shutting down` error line instead of vanishing silently;
-//! * the self-connect poke that wakes a blocked front end at shutdown
-//!   is structurally excluded from connection accounting (both front
-//!   ends check the shutdown flag before dispatching an accepted
-//!   socket), so `serve.connections` counts real clients only;
+//! * a client idle longer than `--idle-timeout-secs` is reaped by the
+//!   reactor's timer wheel (`serve.timeouts`);
+//! * a request line longer than [`crate::evented::MAX_LINE_BYTES`]
+//!   costs only its connection: the reactor sends one best-effort error
+//!   line, closes it and counts `serve.oversize_lines`, so a client
+//!   that never sends `\n` cannot grow server memory without bound;
+//! * a connection whose lines arrive after the run queue closed (a
+//!   shutdown race) is closed and counted as `serve.dropped_accepts`
+//!   instead of vanishing silently;
+//! * the self-connect poke that wakes the reactor at shutdown is
+//!   structurally excluded from connection accounting (the reactor
+//!   checks the shutdown flag before registering an accepted socket),
+//!   so `serve.connections` counts real clients only;
 //! * shutdown is graceful: when `--max-requests` is reached or an
 //!   in-band `{"cmd":"shutdown"}` arrives (only honoured with
-//!   `--allow-shutdown`), the acceptor stops, in-flight requests
+//!   `--allow-shutdown`), the reactor stops, in-flight requests
 //!   complete, workers drain, and the telemetry summary is printed.
 //!
 //! # Telemetry
@@ -145,9 +147,9 @@
 //!   `serve.cache.hit_rate` gauge — encoder-cache effectiveness;
 //! * `serve.batch_size` — jobs per batched forward histogram;
 //! * `serve.connections` / `serve.conn_errors` / `serve.panics` /
-//!   `serve.timeouts` / `serve.dropped_accepts` — connection
-//!   lifecycle counters (real clients only; the shutdown poke is
-//!   excluded by construction);
+//!   `serve.timeouts` / `serve.oversize_lines` /
+//!   `serve.dropped_accepts` — connection lifecycle counters (real
+//!   clients only; the shutdown poke is excluded by construction);
 //! * `serve.shard.<name>.requests` / `serve.shard.<name>.errors` —
 //!   per-shard reply counters, registered for every hosted shard;
 //! * `serve.reload.count` / `.failures` and the
@@ -215,12 +217,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use m2g4rtp::{EncodedQuery, M2G4Rtp, Prediction, SavedModel};
@@ -235,9 +237,9 @@ use rtp_tensor::parallel::resolve_threads;
 use rtp_tensor::Numerics;
 use serde::{Deserialize, Serialize};
 
-/// How often a blocked connection read wakes up to check the shutdown
-/// flag and the idle deadline. Partial lines survive across polls (the
-/// bytes stay in the `read_line` buffer).
+/// How often the SIGHUP watcher and the `--metrics-file` writer wake
+/// to look for work and for the shutdown flag. Neither sits on the
+/// request path.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// One served prediction, mirroring the two application-layer products
@@ -353,35 +355,11 @@ impl StatsReply {
     }
 }
 
-/// Which connection front end feeds the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontEnd {
-    /// One epoll reactor thread multiplexes every socket
-    /// ([`crate::evented`]); idle connections cost no threads.
-    #[default]
-    Evented,
-    /// The legacy blocking acceptor: one pooled worker per live
-    /// connection, polling reads. Kept as fallback and as the
-    /// byte-identity twin for the reactor.
-    Threaded,
-}
-
-impl std::fmt::Display for FrontEnd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FrontEnd::Evented => "evented",
-            FrontEnd::Threaded => "threaded",
-        })
-    }
-}
-
 /// Server configuration (`rtp serve` flags).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// TCP port (0 = ephemeral).
     pub port: u16,
-    /// Connection front end (`--frontend`): epoll reactor by default.
-    pub frontend: FrontEnd,
     /// Total replies to send before shutting down (0 = forever).
     pub max_requests: usize,
     /// Worker-pool size (0 = all cores).
@@ -431,10 +409,12 @@ struct ServeMetrics {
     conn_errors: Arc<Counter>,
     panics: Arc<Counter>,
     timeouts: Arc<Counter>,
-    /// Accepted sockets the front end could not hand to the worker
-    /// pool (drain race at shutdown): closed with a best-effort error
-    /// line, never silently.
+    /// Connections the reactor could not hand to the closed run queue
+    /// (drain race at shutdown): closed and counted, never silently.
     dropped_accepts: Arc<Counter>,
+    /// Connections closed for a request line over
+    /// [`evented::MAX_LINE_BYTES`].
+    oversize_lines: Arc<Counter>,
     /// Trace-id segment rollovers across all connections (a connection
     /// pipelining more than 2^20 requests rolls into a fresh id
     /// segment instead of aliasing old ids).
@@ -451,11 +431,10 @@ struct ServeMetrics {
     pool_misses: Arc<Gauge>,
     pool_hit_rate: Arc<Gauge>,
     /// Per-numerics-tier ok-prediction counters
-    /// (`serve.requests.{exact,fast,quantized}`); all three are
-    /// registered up front so the stats reply always carries the full
-    /// tier breakdown.
+    /// (`serve.requests.{exact,quantized}`); both are registered up
+    /// front so the stats reply always carries the full tier
+    /// breakdown.
     req_exact: Arc<Counter>,
-    req_fast: Arc<Counter>,
     req_quantized: Arc<Counter>,
     /// Stage-latency histograms (`serve.stage.<name>_us`), indexed in
     /// [`StageBreakdown::NAMES`] order: queue_wait, batch_form,
@@ -483,6 +462,7 @@ impl ServeMetrics {
             panics: registry.counter("serve.panics"),
             timeouts: registry.counter("serve.timeouts"),
             dropped_accepts: registry.counter("serve.dropped_accepts"),
+            oversize_lines: registry.counter("serve.oversize_lines"),
             trace_id_wraps: registry.counter("serve.trace_id_wraps"),
             active_connections: registry.gauge("serve.active_connections"),
             latency_us: registry.histogram("serve.latency_us"),
@@ -496,7 +476,6 @@ impl ServeMetrics {
             pool_misses: registry.gauge("tensor.pool.misses"),
             pool_hit_rate: registry.gauge("tensor.pool.hit_rate"),
             req_exact: registry.counter("serve.requests.exact"),
-            req_fast: registry.counter("serve.requests.fast"),
             req_quantized: registry.counter("serve.requests.quantized"),
             stages: StageBreakdown::NAMES
                 .map(|name| registry.histogram(&format!("serve.stage.{name}_us"))),
@@ -659,7 +638,7 @@ impl ShardSpec {
     }
 }
 
-/// State shared by the front end and every worker.
+/// State shared by the reactor and every worker.
 struct ServerShared {
     registry: Registry,
     metrics: ServeMetrics,
@@ -670,11 +649,10 @@ struct ServerShared {
     /// `serve.active_connections` gauge).
     active: AtomicI64,
     shutdown: AtomicBool,
-    /// The listener's address, used to poke the blocking acceptor
-    /// awake when shutdown is triggered from a worker.
+    /// The listener's address, used to poke the reactor's
+    /// `epoll_wait` awake when shutdown is triggered from a worker.
     addr: SocketAddr,
     max_requests: usize,
-    idle_timeout: Option<Duration>,
     allow_shutdown: bool,
     /// Tape buffer-pool totals summed across workers (each worker
     /// contributes deltas of its own service's stats).
@@ -702,7 +680,6 @@ impl ServerShared {
             shutdown: AtomicBool::new(false),
             addr,
             max_requests: opts.max_requests,
-            idle_timeout: opts.idle_timeout,
             allow_shutdown: opts.allow_shutdown,
             pool_hits: AtomicU64::new(0),
             pool_misses: AtomicU64::new(0),
@@ -751,8 +728,8 @@ impl ServerShared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the shutdown flag and wakes the acceptor with a no-op
-    /// connection so its blocking `accept` returns.
+    /// Flips the shutdown flag and wakes the reactor with a no-op
+    /// connection so its blocking `epoll_wait` returns.
     fn trigger_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect(self.addr);
@@ -904,42 +881,85 @@ impl WorkerCtx<'_> {
     }
 }
 
-/// One unit of worker-pool input, covering both front ends: a whole
-/// connection to own until it closes (threaded), or an evented
-/// connection whose queued lines are drained under its claim.
-enum WorkItem {
-    Conn(TcpStream, TraceCtx),
-    Ev(Arc<EvConn>),
+/// The worker pool's only input: one FIFO of connections with queued
+/// lines. The reactor pushes a connection when a line lands on it
+/// unclaimed; a worker that used its [`DRAIN_QUANTUM`] on a still-busy
+/// connection pushes it back to the tail, its claim and queued lines
+/// travelling with it.
+///
+/// Closing refuses further dispatch from the reactor but still takes
+/// requeues, so parked connections are served before the workers
+/// exit: a worker leaves only once the queue is closed *and* empty,
+/// and the worker that requeues a connection is still running to pop
+/// it.
+#[derive(Default)]
+struct RunQueue {
+    state: Mutex<RunQueueState>,
+    ready: Condvar,
 }
 
-/// Hands an accepted connection to the worker pool. On a drain race —
-/// the pool already exited and the channel is closed — the accepted
-/// socket would otherwise vanish with no counter and no reply: count
-/// it as `serve.dropped_accepts`, answer a best-effort error line, and
-/// report `false` so the acceptor stops.
-fn dispatch_accepted(tx: &Sender<WorkItem>, stream: TcpStream, shared: &ServerShared) -> bool {
-    match tx.send(WorkItem::Conn(stream, TraceCtx::at_accept())) {
-        Ok(()) => true,
-        Err(SendError(item)) => {
-            shared.metrics.dropped_accepts.inc();
-            if let WorkItem::Conn(mut stream, _) = item {
-                let _ = stream
-                    .write_all(b"{\"error\":\"server shutting down: dropped before dispatch\"}\n");
+#[derive(Default)]
+struct RunQueueState {
+    conns: VecDeque<Arc<EvConn>>,
+    closed: bool,
+}
+
+impl RunQueue {
+    /// Connections are only ever pushed or popped whole, so a panicked
+    /// holder cannot leave the state half-written.
+    fn lock(&self) -> MutexGuard<'_, RunQueueState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The reactor's hand-off; `false` once the queue is closed.
+    fn dispatch(&self, conn: Arc<EvConn>) -> bool {
+        let mut state = self.lock();
+        if state.closed {
+            return false;
+        }
+        state.conns.push_back(conn);
+        drop(state);
+        self.ready.notify_one();
+        true
+    }
+
+    /// A worker's end-of-quantum hand-back; allowed after close.
+    fn requeue(&self, conn: Arc<EvConn>) {
+        self.lock().conns.push_back(conn);
+        self.ready.notify_one();
+    }
+
+    /// Refuses further dispatch and wakes every idle worker.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Blocks until a connection is queued; `None` once the queue is
+    /// closed and empty.
+    fn next(&self) -> Option<Arc<EvConn>> {
+        let mut state = self.lock();
+        loop {
+            if let Some(conn) = state.conns.pop_front() {
+                return Some(conn);
             }
-            false
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
 
 /// The serve layer's hooks into the epoll reactor: lifecycle counting
-/// plus the hand-off into the worker pool. Only real client
-/// connections reach these callbacks — the reactor checks the shutdown
-/// flag before registering an accepted socket, so the shutdown poke is
-/// never counted and never mints a trace context, which is what lets
-/// the exact-accounting tests assert `serve.connections == clients`.
+/// plus the hand-off into the run queue. Only real client connections
+/// reach these callbacks — the reactor checks the shutdown flag before
+/// registering an accepted socket, so the shutdown poke is never
+/// counted and never mints a trace context, which is what lets the
+/// exact-accounting tests assert `serve.connections == clients`.
 struct EventedSink<'a> {
     shared: &'a ServerShared,
-    tx: Sender<WorkItem>,
+    queue: &'a RunQueue,
 }
 
 impl EventSink for EventedSink<'_> {
@@ -963,12 +983,16 @@ impl EventSink for EventedSink<'_> {
         self.shared.metrics.timeouts.inc();
     }
 
+    fn oversize_line(&self) {
+        self.shared.metrics.oversize_lines.inc();
+    }
+
     fn dropped_dispatch(&self) {
         self.shared.metrics.dropped_accepts.inc();
     }
 
     fn dispatch(&self, conn: Arc<EvConn>) -> bool {
-        self.tx.send(WorkItem::Ev(conn)).is_ok()
+        self.queue.dispatch(conn)
     }
 }
 
@@ -990,7 +1014,7 @@ pub fn serve(
 /// model per [`ShardSpec`], routes request lines by their optional
 /// `"city"` key (absent ⇒ the first shard), and gives every shard its
 /// own inference engine and encoder cache. All shards share the worker
-/// pool, the connection front end and the telemetry registry. When any
+/// pool, the reactor and the telemetry registry. When any
 /// spec carries a path, SIGHUP re-reads every path-ful shard's file
 /// through the hot-swap machinery.
 pub fn serve_sharded(
@@ -1049,11 +1073,9 @@ pub fn serve_sharded(
         }
     }
 
-    // Parked pipelining connections (see the worker-pool comment
-    // below); lives outside the scope so scoped workers can borrow it.
-    let overflow: Mutex<VecDeque<Arc<EvConn>>> = Mutex::new(VecDeque::new());
-    let overflow = &overflow;
-    let frontend_result = std::thread::scope(|scope| {
+    // Lives outside the scope so scoped workers can borrow it.
+    let queue = RunQueue::default();
+    let reactor_result = std::thread::scope(|scope| {
         for (shard, rx) in shared.shards.iter().zip(job_rxs) {
             let Some(rx) = rx else { continue };
             let shared = &shared;
@@ -1065,24 +1087,8 @@ pub fn serve_sharded(
             });
         }
 
-        // The worker pool: one channel of WorkItems serves both front
-        // ends. std's Receiver is single-consumer; workers share it
-        // behind a mutex, each holding it only for one bounded `recv`.
-        //
-        // Next to the channel sits the overflow queue: a pipelining
-        // connection that exhausts its drain quantum is parked here
-        // (claim and queued lines travelling with it) instead of
-        // pinning its worker. Workers serve fresh channel work first —
-        // an operator's `reload` or `stats` line must never wait tens
-        // of seconds behind a busy pipeliner — and pick parked
-        // connections back up whenever the channel goes quiet. Workers
-        // hold no clone of `tx` (that would keep the channel open and
-        // deadlock the drop-the-sender shutdown), which is exactly why
-        // the park space is a plain deque and not the channel itself.
-        let (tx, rx) = channel::<WorkItem>();
-        let rx = Arc::new(Mutex::new(rx));
         for worker_id in 0..workers {
-            let rx = Arc::clone(&rx);
+            let queue = &queue;
             let shared = &shared;
             let dataset = &dataset;
             let numerics = opts.numerics;
@@ -1092,69 +1098,8 @@ pub fn serve_sharded(
             let worker_job_txs: Vec<Option<Sender<InferJob>>> = job_txs.to_vec();
             scope.spawn(move || {
                 let ctx = WorkerCtx::new(worker_id, dataset, shared, numerics, &worker_job_txs);
-                enum Next {
-                    Item(WorkItem),
-                    Empty,
-                    Closed,
-                }
-                let recv_next = |blocking: bool| match rx.lock() {
-                    Ok(guard) if blocking => match guard.recv_timeout(POLL_INTERVAL) {
-                        Ok(item) => Next::Item(item),
-                        Err(RecvTimeoutError::Timeout) => Next::Empty,
-                        Err(RecvTimeoutError::Disconnected) => Next::Closed,
-                    },
-                    Ok(guard) => match guard.try_recv() {
-                        Ok(item) => Next::Item(item),
-                        Err(TryRecvError::Empty) => Next::Empty,
-                        Err(TryRecvError::Disconnected) => Next::Closed,
-                    },
-                    Err(_) => Next::Closed,
-                };
-                let run_item = |item: WorkItem| match item {
-                    WorkItem::Conn(stream, trace) => {
-                        shared.conn_started();
-                        let result = handle_connection(&ctx, stream, trace);
-                        shared.conn_finished();
-                        if result.is_err() {
-                            shared.metrics.conn_errors.inc();
-                        }
-                    }
-                    WorkItem::Ev(conn) => drain_evented_conn(&ctx, &conn, overflow),
-                };
-                let next_parked = || overflow.lock().unwrap_or_else(|p| p.into_inner()).pop_front();
-                loop {
-                    // Fresh channel work first: new connections and
-                    // operator lines take priority over parked
-                    // pipeliners (whose clients already have a full
-                    // quantum of replies to chew on).
-                    match recv_next(false) {
-                        Next::Item(item) => {
-                            run_item(item);
-                            continue;
-                        }
-                        Next::Closed => break,
-                        Next::Empty => {}
-                    }
-                    // Channel quiet: give a parked connection its turn.
-                    if let Some(conn) = next_parked() {
-                        drain_evented_conn(&ctx, &conn, overflow);
-                        continue;
-                    }
-                    // Idle: block until work arrives or the front end
-                    // drops the sender (shutdown + queue drained). The
-                    // timeout only re-checks the overflow queue, in
-                    // case another worker parked a connection mid-wait.
-                    match recv_next(true) {
-                        Next::Item(item) => run_item(item),
-                        Next::Closed => break,
-                        Next::Empty => {}
-                    }
-                }
-                // Channel closed: serve out parked connections before
-                // exiting — their claims travelled here, so no other
-                // dispatch path will ever pick them up.
-                while let Some(conn) = next_parked() {
-                    drain_evented_conn(&ctx, &conn, overflow);
+                while let Some(conn) = queue.next() {
+                    drain_evented_conn(&ctx, &conn, queue);
                 }
             });
         }
@@ -1216,37 +1161,12 @@ pub fn serve_sharded(
             });
         }
 
-        let result = match opts.frontend {
-            FrontEnd::Evented => {
-                // The reactor runs on this thread (where the blocking
-                // acceptor used to live) and owns `tx` through the
-                // sink; returning drops it, which drains the workers.
-                let sink = EventedSink { shared: &shared, tx };
-                evented::run(&listener, opts.idle_timeout, &sink)
-            }
-            FrontEnd::Threaded => {
-                // Legacy acceptor: dispatch whole connections until
-                // shutdown. The shutdown poke is consumed by the flag
-                // check before dispatch, so it is never counted.
-                for stream in listener.incoming() {
-                    if shared.shutting_down() {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            if !dispatch_accepted(&tx, s, &shared) {
-                                break;
-                            }
-                        }
-                        Err(_) => shared.metrics.conn_errors.inc(),
-                    }
-                }
-                // Closing the channel lets idle workers exit; busy
-                // workers finish their in-flight connections (drain).
-                drop(tx);
-                Ok(())
-            }
-        };
+        // The reactor runs on this thread until shutdown. Closing the
+        // run queue afterwards lets idle workers exit; busy workers
+        // finish the connections they hold and any they park (drain).
+        let sink = EventedSink { shared: &shared, queue: &queue };
+        let result = evented::run(&listener, opts.idle_timeout, &sink);
+        queue.close();
         // A reactor-fatal error must still release the snapshot-writer
         // thread (it polls the shutdown flag) so the scope can join.
         if result.is_err() {
@@ -1254,7 +1174,7 @@ pub fn serve_sharded(
         }
         result
     });
-    frontend_result?;
+    reactor_result?;
 
     // Graceful-shutdown durability (S2): everything traced so far is
     // flushed and fsynced, and the exported snapshot reflects the full
@@ -1519,133 +1439,6 @@ fn run_inference_engine(
     }
 }
 
-/// Reads one request line, polling so the shutdown flag and the idle
-/// deadline are honoured even while blocked. Partial lines accumulate
-/// in `buf` across polls (and across an actual mid-line stall).
-enum LineRead {
-    /// A complete (or final unterminated) line is in the buffer.
-    Line,
-    /// Clean end of stream, idle reap, or shutdown — close quietly.
-    Close,
-}
-
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut String,
-    shared: &ServerShared,
-) -> std::io::Result<LineRead> {
-    buf.clear();
-    let mut last_progress = Instant::now();
-    loop {
-        let len_before = buf.len();
-        match reader.read_line(buf) {
-            Ok(0) => {
-                // EOF; any bytes from an earlier partial read are a
-                // final unterminated line.
-                return Ok(if buf.is_empty() { LineRead::Close } else { LineRead::Line });
-            }
-            Ok(_) => return Ok(LineRead::Line),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if buf.len() > len_before {
-                    last_progress = Instant::now();
-                }
-                if shared.shutting_down() {
-                    return Ok(LineRead::Close);
-                }
-                if let Some(idle) = shared.idle_timeout {
-                    if last_progress.elapsed() >= idle {
-                        shared.metrics.timeouts.inc();
-                        return Ok(LineRead::Close);
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Handles one connection on a worker thread. Returns `Err` only for
-/// real I/O failures (client reset, broken pipe) — the caller counts
-/// those as `serve.conn_errors`; everything else (EOF, idle reap,
-/// budget exhaustion, handler panic) closes the connection cleanly.
-fn handle_connection(
-    ctx: &WorkerCtx<'_>,
-    stream: TcpStream,
-    mut trace: TraceCtx,
-) -> std::io::Result<()> {
-    // The polling read timeout doubles as the shutdown-responsiveness
-    // bound; `read_request_line` keeps partial lines across polls.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    // NDJSON replies are small; without this, Nagle + delayed ACK adds
-    // ~40 ms per round trip on a pipelining client.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        match read_request_line(&mut reader, &mut buf, ctx.shared)? {
-            LineRead::Close => return Ok(()),
-            LineRead::Line => {}
-        }
-        let line = buf.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if !ctx.shared.claim_reply() {
-            return Ok(()); // budget spent — close unanswered
-        }
-        let trace_id = next_trace_id(ctx.shared, &mut trace);
-        // Fault isolation: a panic anywhere in parse/predict/serialize
-        // must not unwind through the worker loop. The worker's tape
-        // mutex is poison-recovered by RtpService on the next request.
-        let reply = catch_unwind(AssertUnwindSafe(|| handle_line(ctx, line, trace_id)));
-        match reply {
-            Ok(Reply::Line(mut body, stages)) => {
-                body.push('\n');
-                // Count before the write lands: a client must never
-                // observe a reply whose counters haven't settled (the
-                // stats request relies on exact accounting).
-                ctx.replies.inc();
-                let wire_t0 = Instant::now();
-                writer.write_all(body.as_bytes())?;
-                writer.flush()?;
-                // The write-stage histogram covers serialization plus
-                // the socket write; the echoed breakdown stops at
-                // serialization (it is part of the written bytes).
-                if let Some(ser_us) = stages {
-                    let wire_us = wire_t0.elapsed().as_micros() as u64;
-                    ctx.shared.metrics.stages[4].record(ser_us + wire_us);
-                }
-                ctx.shared.after_reply();
-            }
-            Ok(Reply::ShutdownAck(mut body)) => {
-                body.push('\n');
-                ctx.replies.inc();
-                writer.write_all(body.as_bytes())?;
-                writer.flush()?;
-                ctx.shared.trigger_shutdown();
-                return Ok(());
-            }
-            Err(_) => {
-                ctx.shared.metrics.panics.inc();
-                flight::record(flight::Kind::Panic, "serve.worker", trace_id, || {
-                    format!("request handler panicked on line of {} byte(s)", line.len())
-                });
-                ctx.shared.dump_flight();
-                let mut err = serde_json::to_string(&ServeError {
-                    error: "internal error: request handler panicked; connection closed".into(),
-                })
-                .expect("serialise error");
-                err.push('\n');
-                // Best effort — the client may already be gone.
-                let _ = writer.write_all(err.as_bytes());
-                let _ = writer.flush();
-                return Ok(());
-            }
-        }
-    }
-}
-
 /// Mints the next trace id on a connection, surfacing a sequence
 /// rollover (a fresh globally-unique id segment after 2^20 requests)
 /// as `serve.trace_id_wraps`.
@@ -1658,27 +1451,23 @@ fn next_trace_id(shared: &ServerShared, trace: &mut TraceCtx) -> u64 {
     id
 }
 
-/// Lines served per claim before a still-busy connection is parked on
-/// the overflow queue. A closed-loop pipelining client can land its
-/// next line faster than the worker's post-reply `pop_line`, so an
+/// Lines served per claim before a still-busy connection goes back to
+/// the tail of the run queue. A closed-loop pipelining client can land
+/// its next line faster than the worker's post-reply `pop_line`, so an
 /// unbounded drain pins the worker to one connection for as long as
 /// the client keeps winning that race — with a small pool every other
 /// queued connection starves, most visibly an operator's `reload`
 /// line (observed waiting ~20 s behind four busy bench clients).
 const DRAIN_QUANTUM: usize = 8;
 
-/// Drains one evented connection's queued request lines under its
-/// claim (the reactor dispatched it because its queue went non-empty;
-/// no other worker touches it until the claim is released by the final
+/// Drains one connection's queued request lines under its claim (the
+/// reactor dispatched it because its queue went non-empty; no other
+/// worker touches it until the claim is released by the final
 /// `pop_line` or kept through [`EvConn::yield_claim`] at the end of a
 /// quantum). Replies are written directly to the shared nonblocking
 /// socket; a close is signalled back to the reactor via the dead flag
 /// plus socket shutdown, never by dropping the fd out from under it.
-fn drain_evented_conn(
-    ctx: &WorkerCtx<'_>,
-    conn: &Arc<EvConn>,
-    overflow: &Mutex<VecDeque<Arc<EvConn>>>,
-) {
+fn drain_evented_conn(ctx: &WorkerCtx<'_>, conn: &Arc<EvConn>, queue: &RunQueue) {
     let mut served = 0usize;
     while let Some(line) = conn.pop_line() {
         let line = line.trim();
@@ -1744,9 +1533,10 @@ fn drain_evented_conn(
         served += 1;
         if served == DRAIN_QUANTUM {
             if conn.yield_claim() {
-                // Still busy: park it (the claim and any queued lines
-                // travel with the connection) and take other work first.
-                overflow.lock().unwrap_or_else(|p| p.into_inner()).push_back(Arc::clone(conn));
+                // Still busy: back to the tail of the run queue (the
+                // claim and any queued lines travel with it), behind
+                // whatever was already waiting.
+                queue.requeue(Arc::clone(conn));
             }
             return;
         }
@@ -1964,7 +1754,6 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             let numerics = ctx.lanes[shard_idx].service.borrow().numerics();
             match numerics {
                 Numerics::Exact => metrics.req_exact.inc(),
-                Numerics::Fast => metrics.req_fast.inc(),
                 Numerics::Quantized => metrics.req_quantized.inc(),
             }
             flight::record(flight::Kind::Request, "serve.request", trace_id, || {
@@ -1995,26 +1784,20 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             // Splice latency and the serving model version into the
             // serialized body ({"a":.. -> {"latency_ms":X,
             // "model_version":V,"a":..): field order is free in JSON.
-            // Non-default numerics tiers also tag the reply so a client
-            // can tell approximate answers apart.
-            match numerics {
-                Numerics::Exact => Reply::Line(
-                    format!(
-                        "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version}\
-                         {trace_tag},{}",
-                        &body[1..]
-                    ),
-                    Some(ser_us),
+            // Quantized replies also carry a tier tag so a client can
+            // tell approximate answers apart.
+            let tier_tag = match numerics {
+                Numerics::Exact => "",
+                Numerics::Quantized => ",\"numerics\":\"quantized\"",
+            };
+            Reply::Line(
+                format!(
+                    "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version}\
+                     {tier_tag}{trace_tag},{}",
+                    &body[1..]
                 ),
-                tier => Reply::Line(
-                    format!(
-                        "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version},\
-                         \"numerics\":\"{tier}\"{trace_tag},{}",
-                        &body[1..]
-                    ),
-                    Some(ser_us),
-                ),
-            }
+                Some(ser_us),
+            )
         }
     }
 }
@@ -2135,42 +1918,55 @@ mod tests {
     }
 
     #[test]
-    fn drain_race_counts_dropped_accepts_and_answers_best_effort() {
-        let (listener, shared) = bare_shared();
-        let addr = shared.addr;
-        // A channel whose receiver is already gone models the worker
-        // pool having drained between accept and dispatch.
-        let (tx, rx) = channel::<WorkItem>();
-        drop(rx);
-        let mut client = TcpStream::connect(addr).expect("connect");
-        let (accepted, _) = listener.accept().expect("accept");
-        assert!(!dispatch_accepted(&tx, accepted, &shared), "drain race must stop the acceptor");
-        assert_eq!(shared.metrics.dropped_accepts.get(), 1, "dropped accept must be counted");
-        assert_eq!(shared.metrics.connections.get(), 0, "never dispatched, never a connection");
-        // The client gets a best-effort explanation, then EOF.
-        let mut reply = String::new();
-        use std::io::Read as _;
-        client.read_to_string(&mut reply).expect("read reply");
-        assert!(reply.contains("shutting down"), "best-effort error line, got: {reply:?}");
-    }
-
-    #[test]
     fn evented_dispatch_drain_race_counts_dropped_accepts() {
         let (listener, shared) = bare_shared();
         let addr = shared.addr;
-        let (tx, rx) = channel::<WorkItem>();
-        drop(rx);
-        let sink = EventedSink { shared: &shared, tx };
+        // A closed run queue models the worker pool having drained
+        // between a connection's accept and its first line.
+        let queue = RunQueue::default();
+        queue.close();
+        let sink = EventedSink { shared: &shared, queue: &queue };
         let _client = TcpStream::connect(addr).expect("connect");
         let (accepted, _) = listener.accept().expect("accept");
         let conn = Arc::new(EvConn::for_test(accepted));
-        assert!(!sink.dispatch(Arc::clone(&conn)), "drained pool refuses dispatch");
+        assert!(!sink.dispatch(Arc::clone(&conn)), "closed queue refuses dispatch");
         // The reactor's queue_lines reacts to a failed dispatch by
         // counting and closing; mirror that protocol here.
         sink.dropped_dispatch();
         conn.close();
         assert_eq!(shared.metrics.dropped_accepts.get(), 1);
         assert!(conn.is_dead());
+        assert!(queue.next().is_none(), "nothing was queued");
+    }
+
+    #[test]
+    fn run_queue_is_fifo_and_serves_requeues_after_close() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut conns = Vec::new();
+        let mut clients = Vec::new();
+        for _ in 0..3 {
+            clients.push(TcpStream::connect(addr).expect("connect"));
+            conns.push(Arc::new(EvConn::for_test(listener.accept().expect("accept").0)));
+        }
+        let queue = RunQueue::default();
+        assert!(queue.dispatch(Arc::clone(&conns[0])));
+        assert!(queue.dispatch(Arc::clone(&conns[1])));
+        let first = queue.next().expect("queued");
+        assert!(Arc::ptr_eq(&first, &conns[0]), "FIFO order");
+        // A spent quantum goes behind the work already waiting.
+        queue.requeue(first);
+        queue.close();
+        assert!(!queue.dispatch(Arc::clone(&conns[2])), "closed: no new dispatch");
+        let order: Vec<_> = std::iter::from_fn(|| queue.next()).collect();
+        assert_eq!(order.len(), 2);
+        assert!(Arc::ptr_eq(&order[0], &conns[1]));
+        assert!(Arc::ptr_eq(&order[1], &conns[0]), "requeued connection served after close");
+        // Requeues stay allowed after close, so a parked connection
+        // still reaches a worker before the pool exits.
+        queue.requeue(Arc::clone(&conns[0]));
+        assert!(queue.next().is_some_and(|c| Arc::ptr_eq(&c, &conns[0])));
+        assert!(queue.next().is_none());
     }
 
     #[test]

@@ -437,6 +437,28 @@ fn encoder_cache_hits_and_invalidations_are_exact_and_bit_identical() {
     server.shutdown_summary();
 }
 
+/// A line nested deeper than the JSON parser's cap is a `bad request`
+/// for its sender, not a stack overflow that aborts the process: the
+/// same connection and the server keep serving.
+#[test]
+fn deeply_nested_line_is_a_bad_request_not_a_crash() {
+    let (dataset, model) = trained_model(199);
+    let opts = ServeOptions { max_requests: 4, ..Default::default() };
+    let server = start_server(model, dataset.clone(), opts);
+    let mut client = Client::connect(&server.addr);
+    let reply = client.round_trip(&"[".repeat(200_000));
+    assert!(reply.contains("bad request: nesting deeper than 128"), "{reply}");
+    for k in 0..2 {
+        let reply = client.round_trip(&query_line(&dataset, k));
+        assert_valid_prediction(&reply, dataset.test[k].query.orders.len());
+    }
+    let stats: StatsReply =
+        serde_json::from_str(&client.round_trip("{\"cmd\":\"stats\"}")).expect("stats parses");
+    assert_eq!(stats.counters.get("serve.errors"), Some(&1), "{:?}", stats.counters);
+    assert_eq!(stats.counters.get("serve.panics"), Some(&0), "{:?}", stats.counters);
+    server.shutdown_summary();
+}
+
 /// Unknown control commands must be classified as control lines (never
 /// falling through to the query parse-error path), answered with a
 /// named reply, and counted in `serve.unknown_cmds` — not

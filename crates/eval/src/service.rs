@@ -50,7 +50,7 @@ pub struct ServiceResponse {
 pub struct RtpService {
     model: Arc<M2G4Rtp>,
     /// Numerics tier every prediction of this lane runs under
-    /// (exact by default; fast/quantized are serve-time opt-ins).
+    /// (exact by default; quantized is a serve-time opt-in).
     numerics: Numerics,
     /// No-grad tape reused (cleared, not reallocated) across requests:
     /// after the first request the Inference Layer runs allocation-free
@@ -80,8 +80,8 @@ impl RtpService {
 
     /// Like [`RtpService::shared`], but running the given numerics
     /// tier: every prediction of this lane uses the corresponding
-    /// inference tape (fast-tier kernels, or the quantized parameter
-    /// snapshot the model caches on first use).
+    /// inference tape (for `Quantized`, with the parameter snapshot
+    /// the model caches on first use).
     ///
     /// # Panics
     /// Panics if the model has no pipeline.

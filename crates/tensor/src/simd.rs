@@ -1,4 +1,4 @@
-//! Runtime-dispatched AVX2/FMA kernels and the quantized i8 inference
+//! Runtime-dispatched AVX2 kernels and the quantized i8 inference
 //! path, in two numerics tiers (see DESIGN.md "Numerics policy"):
 //!
 //! * **Bit-exact tier** ([`axpy`], [`fwd_panel_avx2`]): every output
@@ -9,18 +9,14 @@
 //!   which skips the intermediate rounding and changes bits. This tier
 //!   backs the default kernels in [`crate::kernels`], so thread-count
 //!   determinism and twin-server byte comparisons hold by construction.
-//! * **Fast tier** ([`matmul_fast_avx2fma`], [`dot_fast_avx2fma`]):
-//!   FMA contraction and multi-accumulator reductions. Different
-//!   rounding (usually *more* accurate), so it is opt-in and never
-//!   used where gradients flow.
 //! * **Quantized tier** ([`QuantizedMatrix`], [`matmul_q8`]):
 //!   per-output-channel i8 weights (symmetric, clamped to ±127) with
 //!   dynamic per-row activation quantization and i8×i8→i32 dots via
 //!   `maddubs`. The i32 accumulation is exact and order-free; all
 //!   rounding happens at quantization and the final two f32 multiplies.
 //!
-//! Dispatch is per-call via [`have_avx2`] / [`have_fma`] (cached CPUID
-//! behind `is_x86_feature_detected!`); every entry point has a scalar
+//! Dispatch is per-call via [`have_avx2`] (cached CPUID behind
+//! `is_x86_feature_detected!`); every entry point has a scalar
 //! fallback with identical semantics (for the bit-exact tier: identical
 //! bits), so non-x86 builds and pre-AVX2 boxes run the same code paths
 //! the proptests verify.
@@ -40,20 +36,6 @@ pub fn have_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the running CPU has AVX2 *and* FMA (the fast tier needs
-/// both; false on non-x86_64 targets).
-#[inline]
-pub fn have_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -207,188 +189,6 @@ pub unsafe fn fwd_panel_avx2(
             let v = _mm256_set1_ps(*ap.add(i * k + kk));
             cl = _mm256_add_ps(cl, _mm256_mul_ps(v, bl));
             ch = _mm256_add_ps(ch, _mm256_mul_ps(v, bh));
-        }
-        _mm256_storeu_ps(op.add(i * c + jb), cl);
-        _mm256_storeu_ps(op.add(i * c + jb + 8), ch);
-        i += 1;
-    }
-}
-
-// -------------------------------------------------------------------
-// Fast tier (FMA + multi-accumulator; opt-in, inference only)
-// -------------------------------------------------------------------
-
-thread_local! {
-    /// Packed B panel scratch for the fast-tier matmul.
-    static FAST_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Fast-tier forward product `out = A @ B` (overwrite): the blocked
-/// panel kernel with FMA contraction. Accuracy differs from the exact
-/// tier only in rounding (FMA keeps the infinitely precise product
-/// before adding), so results are within normal f32 dot-product error
-/// of the reference — but NOT bit-identical. Falls back to the exact
-/// kernel where AVX2+FMA is unavailable.
-///
-/// Returns `true` if the FMA path ran (so callers can fall back to the
-/// exact blocked kernel otherwise without double-counting).
-pub fn matmul_fast(a: &[f32], b: &[f32], out: &mut [f32], r: usize, k: usize, c: usize) -> bool {
-    if !have_fma() || r == 0 || c == 0 || k == 0 {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if c == 1 {
-            for i in 0..r {
-                // SAFETY: FMA presence checked above; slices sized by
-                // the matmul contract.
-                out[i] = unsafe { dot_fast_avx2fma(&a[i * k..(i + 1) * k], b) };
-            }
-            return true;
-        }
-        FAST_PACK.with(|p| {
-            let mut pack = p.borrow_mut();
-            let mut jb = 0;
-            while jb < c {
-                let nr = 16.min(c - jb);
-                if nr == 16 {
-                    pack.clear();
-                    pack.reserve(k * 16);
-                    for kk in 0..k {
-                        pack.extend_from_slice(&b[kk * c + jb..kk * c + jb + 16]);
-                    }
-                    // SAFETY: FMA presence checked; pack is k*16.
-                    unsafe { fwd_panel_fma(a, &pack, out, r, k, c, jb) };
-                } else {
-                    // Edge panel: scalar mul_add (compiles to scalar
-                    // FMA under x86-64-v3); tiny share of the work.
-                    for i in 0..r {
-                        for j in jb..jb + nr {
-                            let mut acc = 0.0f32;
-                            for kk in 0..k {
-                                acc = a[i * k + kk].mul_add(b[kk * c + j], acc);
-                            }
-                            out[i * c + j] = acc;
-                        }
-                    }
-                }
-                jb += nr;
-            }
-        });
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Fast-tier dot product: 4 independent FMA accumulator chains folded
-/// at the end (different summation order than the reference — fast
-/// tier only).
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn dot_fast_avx2fma(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 32 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-        acc1 =
-            _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i + 8)), _mm256_loadu_ps(bp.add(i + 8)), acc1);
-        acc2 =
-            _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i + 16)), _mm256_loadu_ps(bp.add(i + 16)), acc2);
-        acc3 =
-            _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i + 24)), _mm256_loadu_ps(bp.add(i + 24)), acc3);
-        i += 32;
-    }
-    while i + 8 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-        i += 8;
-    }
-    let acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let lo = _mm256_castps256_ps128(acc);
-    let s = _mm_add_ps(lo, hi);
-    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    let mut total = _mm_cvtss_f32(s);
-    while i < n {
-        total = (*ap.add(i)).mul_add(*bp.add(i), total);
-        i += 1;
-    }
-    total
-}
-
-/// Fast-tier panel body: [`fwd_panel_avx2`] with `fmadd` contraction.
-///
-/// # Safety
-/// Same contract as [`fwd_panel_avx2`], plus FMA availability.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fwd_panel_fma(
-    a: &[f32],
-    pack: &[f32],
-    out: &mut [f32],
-    r: usize,
-    k: usize,
-    c: usize,
-    jb: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(pack.len() >= k * 16);
-    let ap = a.as_ptr();
-    let pp = pack.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= r {
-        let (mut c0l, mut c0h) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-        let (mut c1l, mut c1h) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-        let (mut c2l, mut c2h) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-        let (mut c3l, mut c3h) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-        for kk in 0..k {
-            let bl = _mm256_loadu_ps(pp.add(kk * 16));
-            let bh = _mm256_loadu_ps(pp.add(kk * 16 + 8));
-            let v0 = _mm256_set1_ps(*ap.add(i * k + kk));
-            let v1 = _mm256_set1_ps(*ap.add((i + 1) * k + kk));
-            let v2 = _mm256_set1_ps(*ap.add((i + 2) * k + kk));
-            let v3 = _mm256_set1_ps(*ap.add((i + 3) * k + kk));
-            c0l = _mm256_fmadd_ps(v0, bl, c0l);
-            c0h = _mm256_fmadd_ps(v0, bh, c0h);
-            c1l = _mm256_fmadd_ps(v1, bl, c1l);
-            c1h = _mm256_fmadd_ps(v1, bh, c1h);
-            c2l = _mm256_fmadd_ps(v2, bl, c2l);
-            c2h = _mm256_fmadd_ps(v2, bh, c2h);
-            c3l = _mm256_fmadd_ps(v3, bl, c3l);
-            c3h = _mm256_fmadd_ps(v3, bh, c3h);
-        }
-        _mm256_storeu_ps(op.add(i * c + jb), c0l);
-        _mm256_storeu_ps(op.add(i * c + jb + 8), c0h);
-        _mm256_storeu_ps(op.add((i + 1) * c + jb), c1l);
-        _mm256_storeu_ps(op.add((i + 1) * c + jb + 8), c1h);
-        _mm256_storeu_ps(op.add((i + 2) * c + jb), c2l);
-        _mm256_storeu_ps(op.add((i + 2) * c + jb + 8), c2h);
-        _mm256_storeu_ps(op.add((i + 3) * c + jb), c3l);
-        _mm256_storeu_ps(op.add((i + 3) * c + jb + 8), c3h);
-        i += 4;
-    }
-    while i < r {
-        let (mut cl, mut ch) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-        for kk in 0..k {
-            let bl = _mm256_loadu_ps(pp.add(kk * 16));
-            let bh = _mm256_loadu_ps(pp.add(kk * 16 + 8));
-            let v = _mm256_set1_ps(*ap.add(i * k + kk));
-            cl = _mm256_fmadd_ps(v, bl, cl);
-            ch = _mm256_fmadd_ps(v, bh, ch);
         }
         _mm256_storeu_ps(op.add(i * c + jb), cl);
         _mm256_storeu_ps(op.add(i * c + jb + 8), ch);

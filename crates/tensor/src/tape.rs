@@ -34,20 +34,16 @@ use crate::simd::{self, QuantSet};
 ///   to its naive reference, so training is deterministic across
 ///   thread counts and twin servers byte-match. Gradients only ever
 ///   flow on exact tapes ([`Tape::new`] is always exact).
-/// * `Fast` — opt-in inference-only forward kernels with FMA
-///   contraction and multi-accumulator reductions; same math, freer
-///   rounding.
-/// * `Quantized` — `Fast`, plus matmuls whose RHS is a model parameter
-///   with a quantized snapshot run as i8×i8→i32 dots
-///   ([`crate::simd::matmul_q8`]).
+/// * `Quantized` — matmuls whose RHS is a model parameter with a
+///   quantized snapshot run as i8×i8→i32 dots
+///   ([`crate::simd::matmul_q8`]); every other op runs the exact
+///   kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Numerics {
     /// Bit-exact tier (default; the only tier gradients may use).
     #[default]
     Exact,
-    /// FMA/multi-accumulator f32 forward kernels (inference only).
-    Fast,
-    /// i8-quantized param matmuls over the fast tier (inference only).
+    /// i8-quantized param matmuls over the exact tier (inference only).
     Quantized,
 }
 
@@ -57,7 +53,6 @@ impl Numerics {
     pub fn as_str(self) -> &'static str {
         match self {
             Numerics::Exact => "exact",
-            Numerics::Fast => "fast",
             Numerics::Quantized => "quantized",
         }
     }
@@ -74,9 +69,8 @@ impl std::str::FromStr for Numerics {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "exact" => Ok(Numerics::Exact),
-            "fast" => Ok(Numerics::Fast),
             "quantized" => Ok(Numerics::Quantized),
-            other => Err(format!("unknown numerics tier `{other}` (exact|fast|quantized)")),
+            other => Err(format!("unknown numerics tier `{other}` (exact|quantized)")),
         }
     }
 }
@@ -196,8 +190,8 @@ impl Tape {
 
     /// Creates a no-grad tape running the given numerics tier. Only
     /// inference tapes can leave the exact tier: [`Tape::new`] is
-    /// always exact, so gradients structurally never see fast or
-    /// quantized kernels.
+    /// always exact, so gradients structurally never see quantized
+    /// kernels.
     pub fn inference_with(numerics: Numerics) -> Self {
         let mut t = Self::with_grad(false);
         t.numerics = numerics;
@@ -394,35 +388,23 @@ impl Tape {
     // ---------------------------------------------------------------
 
     /// Matrix product `a @ b`: `[r,k] x [k,c] -> [r,c]`, via the
-    /// cache-blocked kernel in [`crate::kernels`] — or, on non-exact
-    /// inference tapes, the fast-tier FMA kernel / the i8 quantized
-    /// kernel when `b` is a parameter with a quantized snapshot.
+    /// cache-blocked kernel in [`crate::kernels`] — or, on quantized
+    /// inference tapes, the i8 kernel when `b` is a parameter with a
+    /// quantized snapshot.
     pub fn matmul(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (ar, ak) = self.shape(a);
         let (bk, bc) = self.shape(b);
         assert_eq!(ak, bk, "matmul inner dim mismatch: [{ar},{ak}] x [{bk},{bc}]");
         let mut out = self.alloc_filled(ar * bc, 0.0);
-        match self.numerics {
-            Numerics::Exact => {
-                kernels::matmul(self.data(a), self.data(b), &mut out, ar, ak, bc);
+        let qm = match (self.numerics, &self.nodes[b.idx()].op) {
+            (Numerics::Quantized, &Op::Param(pid)) => {
+                self.quant.as_ref().and_then(|qs| qs.get(pid)).filter(|qm| qm.k == ak && qm.c == bc)
             }
-            Numerics::Fast => {
-                kernels::matmul_fast(self.data(a), self.data(b), &mut out, ar, ak, bc);
-            }
-            Numerics::Quantized => {
-                let qm = match self.nodes[b.idx()].op {
-                    Op::Param(pid) => self
-                        .quant
-                        .as_ref()
-                        .and_then(|qs| qs.get(pid))
-                        .filter(|qm| qm.k == ak && qm.c == bc),
-                    _ => None,
-                };
-                match qm {
-                    Some(qm) => simd::matmul_q8(self.data(a), qm, &mut out, ar, ak, bc),
-                    None => kernels::matmul_fast(self.data(a), self.data(b), &mut out, ar, ak, bc),
-                }
-            }
+            _ => None,
+        };
+        match qm {
+            Some(qm) => simd::matmul_q8(self.data(a), qm, &mut out, ar, ak, bc),
+            None => kernels::matmul(self.data(a), self.data(b), &mut out, ar, ak, bc),
         }
         self.push(ar, bc, out, Op::Matmul(a, b))
     }
