@@ -16,16 +16,16 @@
 //!
 //! A fourth pair of arms measures the *serve* path: one closed-loop
 //! client round-trips the same query stream twice against a live
-//! batched server — once plain, once with `"trace": true` so every
-//! reply carries a trace id and the five-stage latency breakdown. The
+//! server — once plain, once with `"trace": true` so every reply
+//! carries a trace id and the five-stage latency breakdown. The
 //! throughput delta is the full cost of per-request tracing (stage
-//! stamps in the engine, flight-recorder events, the echoed JSON), and
-//! the budget is ≤2%.
+//! timing, flight-recorder events, the echoed JSON), and the budget is
+//! ≤2%.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::channel;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use m2g4rtp::{M2G4Rtp, ModelConfig, TrainConfig, Trainer};
 use rtp_bench::{bench_dataset, bench_model};
@@ -136,8 +136,8 @@ fn serve_pass(addr: &str, lines: &[String]) -> (f64, f64) {
     (plain_secs, traced_secs)
 }
 
-/// Interleaved plain/traced serve throughput against one live batched
-/// server; returns min-time requests/s for (untraced, traced).
+/// Interleaved plain/traced serve throughput against one live server;
+/// returns min-time requests/s for (untraced, traced).
 fn measure_serve() -> (f64, f64) {
     let dataset = bench_dataset();
     let model = bench_model(&dataset);
@@ -161,13 +161,7 @@ fn measure_serve() -> (f64, f64) {
         }
     }
     let ds = dataset.clone();
-    let opts = ServeOptions {
-        workers: 1,
-        allow_shutdown: true,
-        batch_max: 4,
-        batch_window: Duration::from_micros(200),
-        ..Default::default()
-    };
+    let opts = ServeOptions { workers: 1, allow_shutdown: true, ..Default::default() };
     let server = std::thread::spawn(move || {
         let mut sink = AddrSink(addr_tx, Vec::new());
         serve(model, ds, opts, &mut sink).expect("server runs");
@@ -177,9 +171,8 @@ fn measure_serve() -> (f64, f64) {
     // One line per distinct courier, as in serve_throughput. Since
     // the cache fingerprint is the full request line and plain/traced
     // lines differ, the alternation makes every request an encoder-
-    // cache miss — so both arms exercise the complete five-stage
-    // pipeline (queue → batch → forward → demux → write), which is
-    // exactly the path tracing instruments.
+    // cache miss — so both arms run the full forward, graph build
+    // included, and the reply path tracing instruments.
     let lines: Vec<String> = {
         let mut seen = std::collections::HashSet::new();
         dataset

@@ -1,8 +1,8 @@
 //! Serve-layer throughput: requests/s of the NDJSON TCP server at 1
-//! worker vs all-core workers, each measured with micro-batching off
-//! and on, with concurrent closed-loop clients — plus the `--numerics
-//! quantized` tier at each worker count so the latency win of
-//! approximate inference is a recorded number, not a claim.
+//! worker vs all-core workers with concurrent closed-loop clients, in
+//! the exact tier and the `--numerics quantized` tier at each worker
+//! count, so the latency win of approximate inference is a recorded
+//! number, not a claim.
 //!
 //! Each arm starts a real server on an ephemeral port, drives it with
 //! `CLIENTS` threads doing request/reply round trips, and reads
@@ -14,9 +14,9 @@
 //! `results/serve_throughput.json`.
 //!
 //! The client workload repeats one query line per distinct courier, so
-//! the batched arms exercise the serve path the way a courier app does:
-//! a courier's route state is encoded once cold, then repeat polls of
-//! the same state replay the cached encoder activations through the
+//! every arm exercises the serve path the way a courier app does: a
+//! courier's route state is encoded once cold, then repeat polls of the
+//! same state replay the cached encoder activations through the
 //! decoders only. The reported `cache_hit_rate` makes the repeat share
 //! of the workload explicit.
 //!
@@ -30,7 +30,7 @@
 //! with the server), so the pair's ratio isolates the true cost of a
 //! production swap cadence: the reload's own CPU plus every distinct
 //! query re-encoding once against the drained encoder cache. The ratio
-//! is recorded as the swap row's `speedup_vs_unbatched` and enforced
+//! is recorded as the swap row's `ratio_vs_twin` and enforced
 //! by `perf_gate swap`. `--swap-only` runs just that pair (the CI perf
 //! job's swap gate).
 
@@ -49,9 +49,6 @@ use rtp_tensor::Numerics;
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 50;
-/// Batched arms: `--batch-max 8 --batch-window-us 1000`.
-const BATCH_MAX: usize = 8;
-const BATCH_WINDOW_US: u64 = 1000;
 /// Length of one quiet or swap segment of the hot-swap pair. One swap
 /// per 10 s is already a hotter cadence than the online-training loop
 /// (which retrains for seconds to minutes between pushes), so holding
@@ -67,7 +64,6 @@ const SWAP_SEGMENTS: usize = 8;
 
 struct Row {
     workers: usize,
-    batch_max: usize,
     numerics: Numerics,
     requests: usize,
     requests_per_sec: f64,
@@ -135,21 +131,13 @@ impl Write for AddrSink {
 /// Starts a server thread and returns its bound address and handle.
 fn start_server(
     workers: usize,
-    batch_max: usize,
     numerics: Numerics,
     model: M2G4Rtp,
     dataset: &Dataset,
 ) -> (String, std::thread::JoinHandle<()>) {
     let (addr_tx, addr_rx) = channel::<String>();
     let ds = dataset.clone();
-    let opts = ServeOptions {
-        workers,
-        allow_shutdown: true,
-        batch_max,
-        batch_window: Duration::from_micros(BATCH_WINDOW_US),
-        numerics,
-        ..Default::default()
-    };
+    let opts = ServeOptions { workers, allow_shutdown: true, numerics, ..Default::default() };
     let server = std::thread::spawn(move || {
         let mut sink = AddrSink(addr_tx, Vec::new());
         serve(model, ds, opts, &mut sink).expect("server runs");
@@ -206,13 +194,12 @@ fn stats_and_stop(addr: &str) -> (u64, u64, f64) {
 
 fn measure(
     workers: usize,
-    batch_max: usize,
     numerics: Numerics,
     model: M2G4Rtp,
     dataset: &Dataset,
     idle_conns: usize,
 ) -> Row {
-    let (addr, server) = start_server(workers, batch_max, numerics, model, dataset);
+    let (addr, server) = start_server(workers, numerics, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
 
@@ -254,7 +241,6 @@ fn measure(
     let requests = CLIENTS * REQUESTS_PER_CLIENT;
     Row {
         workers,
-        batch_max,
         numerics,
         requests,
         requests_per_sec: requests as f64 / elapsed,
@@ -282,7 +268,7 @@ fn measure_swap_pair(
     dataset: &Dataset,
     reload_path: &str,
 ) -> (Row, Row) {
-    let (addr, server) = start_server(workers, BATCH_MAX, Numerics::Exact, model, dataset);
+    let (addr, server) = start_server(workers, Numerics::Exact, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
 
@@ -350,7 +336,6 @@ fn measure_swap_pair(
 
     let row = |(requests, seconds): (u64, f64), reloads: usize| Row {
         workers,
-        batch_max: BATCH_MAX,
         numerics: Numerics::Exact,
         requests: requests as usize,
         requests_per_sec: requests as f64 / seconds,
@@ -392,50 +377,38 @@ fn main() {
         settings.clear();
     }
 
-    // Each worker count gets an unbatched arm (batch_max 1: the legacy
-    // per-worker path), a batched arm (micro-batching + encoder cache)
-    // and the quantized-numerics arm (unbatched, so the tier delta is
-    // not confounded with cache effects).
-    let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, speedup vs exact unbatched same workers)
+    // Each worker count gets an exact arm and a quantized arm; both
+    // serve through the encoder cache, so the tier delta is what the
+    // numerics cost on the same traffic.
+    let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, req/s relative to its twin arm)
     for &w in &settings {
-        let off = measure(w, 1, Numerics::Exact, load(), &dataset, 0);
-        let on = measure(w, BATCH_MAX, Numerics::Exact, load(), &dataset, 0);
-        let quant = measure(w, 1, Numerics::Quantized, load(), &dataset, 0);
-        let base_off = off.requests_per_sec;
+        let exact = measure(w, Numerics::Exact, load(), &dataset, 0);
+        let quant = measure(w, Numerics::Quantized, load(), &dataset, 0);
+        let base = exact.requests_per_sec;
         println!(
-            "workers {:>2} unbatched: {:>8.1} req/s  (p50 {:.3} ms, p99 {:.3} ms)",
-            off.workers,
-            off.requests_per_sec,
-            off.p50_us as f64 / 1000.0,
-            off.p99_us as f64 / 1000.0
+            "workers {:>2} {:>9}: {:>8.1} req/s  (cache hit rate {:.1}%, p50 {:.3} ms, p99 {:.3} ms)",
+            exact.workers,
+            exact.numerics.as_str(),
+            exact.requests_per_sec,
+            exact.cache_hit_rate * 100.0,
+            exact.p50_us as f64 / 1000.0,
+            exact.p99_us as f64 / 1000.0
         );
         println!(
-            "workers {:>2} batch={:>2}: {:>8.1} req/s  ({:.2}x vs unbatched same workers, cache hit rate {:.1}%, p50 {:.3} ms, p99 {:.3} ms)",
-            on.workers,
-            on.batch_max,
-            on.requests_per_sec,
-            on.requests_per_sec / base_off,
-            on.cache_hit_rate * 100.0,
-            on.p50_us as f64 / 1000.0,
-            on.p99_us as f64 / 1000.0
-        );
-        println!(
-            "workers {:>2} {:>9}: {:>8.1} req/s  ({:.2}x vs exact unbatched, p50 {:.3} ms, p99 {:.3} ms)",
+            "workers {:>2} {:>9}: {:>8.1} req/s  ({:.2}x vs exact, p50 {:.3} ms, p99 {:.3} ms)",
             quant.workers,
             quant.numerics.as_str(),
             quant.requests_per_sec,
-            quant.requests_per_sec / base_off,
+            quant.requests_per_sec / base,
             quant.p50_us as f64 / 1000.0,
             quant.p99_us as f64 / 1000.0
         );
-        let on_speedup = on.requests_per_sec / base_off;
-        let quant_speedup = quant.requests_per_sec / base_off;
-        rows.push((off, 1.0));
-        rows.push((on, on_speedup));
+        let quant_speedup = quant.requests_per_sec / base;
+        rows.push((exact, 1.0));
         rows.push((quant, quant_speedup));
     }
 
-    // Idle-connection soak: the same 1-worker unbatched arm, measured
+    // Idle-connection soak: the 1-worker exact arm, measured
     // back-to-back with and without 1k+ parked idle sockets. The pair
     // is the honest before/after — the ratio is the throughput cost of
     // an idle herd on the epoll front end (contract: ~none), and
@@ -444,8 +417,8 @@ fn main() {
     // constrained runner soaks what it can instead of dying on EMFILE.
     if !swap_only {
         let soak_n = ((max_open_files().saturating_sub(256)) / 2).min(1500);
-        let soak_base = measure(1, 1, Numerics::Exact, load(), &dataset, 0);
-        let soak = measure(1, 1, Numerics::Exact, load(), &dataset, soak_n);
+        let soak_base = measure(1, Numerics::Exact, load(), &dataset, 0);
+        let soak = measure(1, Numerics::Exact, load(), &dataset, soak_n);
         println!(
             "idle soak: {:>8.1} req/s with {} idle conns vs {:>8.1} req/s with none ({:.2}x, {} extra thread(s))",
             soak.requests_per_sec,
@@ -459,7 +432,7 @@ fn main() {
         rows.push((soak, soak_ratio));
     }
 
-    // Hot-swap pair: the batched all-core configuration (the deployed
+    // Hot-swap pair: the all-core exact configuration (the deployed
     // shape) under interleaved quiet/swap segments. The intra-window
     // ratio is what `perf_gate swap` enforces — a production swap
     // cadence must be near-invisible to the hot path.
@@ -476,16 +449,15 @@ fn main() {
     let base = rows[0].0.requests_per_sec;
     let entries: Vec<String> = rows
         .iter()
-        .map(|(r, speedup_vs_unbatched)| {
+        .map(|(r, ratio_vs_twin)| {
             format!(
-                "    {{\"workers\": {}, \"batch_max\": {}, \"numerics\": \"{}\", \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"speedup_vs_unbatched\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
+                "    {{\"workers\": {}, \"numerics\": \"{}\", \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"ratio_vs_twin\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
                 r.workers,
-                r.batch_max,
                 r.numerics.as_str(),
                 r.requests,
                 r.requests_per_sec,
                 r.requests_per_sec / base,
-                speedup_vs_unbatched,
+                ratio_vs_twin,
                 r.cache_hit_rate,
                 r.p50_us,
                 r.p99_us,
@@ -496,7 +468,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"bench_meta\": {},\n  \"clients\": {CLIENTS},\n  \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"batch_window_us\": {BATCH_WINDOW_US},\n  \"cores_available\": {cores},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"serve_throughput\",\n  \"bench_meta\": {},\n  \"clients\": {CLIENTS},\n  \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"cores_available\": {cores},\n  \"rows\": [\n{}\n  ]\n}}\n",
         bench_meta_json(),
         entries.join(",\n")
     );

@@ -70,7 +70,7 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 /// Flattens one bench result into `metric name -> value`. Names are
-/// stable across runs (keyed by n / threads / workers+batch+numerics),
+/// stable across runs (keyed by n / threads / workers+numerics),
 /// so history lines and the baseline are directly comparable.
 fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
     let mut m = BTreeMap::new();
@@ -110,17 +110,16 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
         }
         "serve_throughput" => {
             for row in v.get("rows").and_then(Value::as_array).unwrap_or_default() {
-                let (Some(w), Some(b)) = (get_u64(row, "workers"), get_u64(row, "batch_max"))
-                else {
+                let Some(w) = get_u64(row, "workers") else {
                     continue;
                 };
                 let numerics =
                     row.get("numerics").and_then(Value::as_str).unwrap_or("exact").to_string();
-                // The swap arm measures the same (workers, batch,
-                // numerics) point as a plain arm — suffix its tag so
-                // the two don't collide in the history/baseline.
+                // The swap arm measures the same (workers, numerics)
+                // point as a plain arm — suffix its tag so the two
+                // don't collide in the history/baseline.
                 let reload = if get_u64(row, "reloads").unwrap_or(0) > 0 { ".reload" } else { "" };
-                let tag = format!("w{w}.b{b}.{numerics}{reload}");
+                let tag = format!("w{w}.{numerics}{reload}");
                 for key in ["requests_per_sec", "p50_us", "p99_us"] {
                     if let Some(x) = get_num(row, key) {
                         m.insert(format!("{tag}.{key}"), x);
@@ -264,7 +263,7 @@ fn cmd_check(dir: &Path, only: Option<&str>, tolerance_pct: f64) -> Result<(), S
 /// `serve_throughput.json` and fails if the mid-bench reloads cost
 /// more than `tolerance_pct` of the no-reload twin's throughput. The
 /// twin is measured back-to-back in the same run (the ratio is the
-/// row's `speedup_vs_unbatched`), so the gate is immune to the
+/// row's `ratio_vs_twin`), so the gate is immune to the
 /// cross-run scheduler noise that keeps the serve bench out of the
 /// baseline gate.
 fn cmd_swap(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
@@ -278,8 +277,7 @@ fn cmd_swap(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
         .find(|r| get_u64(r, "reloads").unwrap_or(0) > 0)
         .ok_or("serve_throughput.json has no hot-swap arm — rerun the bench")?;
     let reloads = get_u64(row, "reloads").unwrap_or(0);
-    let ratio =
-        get_num(row, "speedup_vs_unbatched").ok_or("hot-swap row lacks its intra-run ratio")?;
+    let ratio = get_num(row, "ratio_vs_twin").ok_or("hot-swap row lacks its intra-run ratio")?;
     let cost_pct = (1.0 - ratio) * 100.0;
     if cost_pct > tolerance_pct {
         return Err(format!(
@@ -307,11 +305,10 @@ fn headline(bench: &str) -> Vec<&'static str> {
         ],
         "training_throughput" => vec!["threads1.samples_per_sec", "threads2.samples_per_sec"],
         "serve_throughput" => vec![
-            "w1.b1.exact.requests_per_sec",
-            "w1.b8.exact.requests_per_sec",
-            "w1.b1.quantized.requests_per_sec",
-            "w1.b1.exact.p50_us",
-            "w1.b1.quantized.p50_us",
+            "w1.exact.requests_per_sec",
+            "w1.quantized.requests_per_sec",
+            "w1.exact.p50_us",
+            "w1.quantized.p50_us",
         ],
         _ => vec![],
     }

@@ -84,10 +84,6 @@ pub enum Command {
         idle_timeout_secs: u64,
         /// Honour in-band `{"cmd":"shutdown"}` requests.
         allow_shutdown: bool,
-        /// Micro-batch size cap (1 = batching and encoder cache off).
-        batch_max: usize,
-        /// Micro-batch collection window, microseconds.
-        batch_window_us: u64,
         /// Numerics tier: "exact" or "quantized".
         numerics: String,
         /// Periodic Prometheus snapshot path (empty = off).
@@ -150,8 +146,7 @@ USAGE:
   rtp evaluate --model <model.json> --dataset <dataset.json> [--numerics exact|quantized]
   rtp serve    --model <model.json> --dataset <dataset.json> [--port P] [--max-requests N]
                [--workers N] [--idle-timeout-secs S]
-               [--allow-shutdown] [--batch-max N] [--batch-window-us U]
-               [--numerics exact|quantized] [--metrics-file PATH]
+               [--allow-shutdown] [--numerics exact|quantized] [--metrics-file PATH]
                [--metrics-interval-secs S] [--flight-dump PATH]
   rtp online   --model <model.json> --dataset <dataset.json> --addr <host:port> --out <model.json>
                [--shard NAME] [--rounds N] [--epochs-per-round N] [--seed N] [--threads N]
@@ -235,8 +230,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
     let mut workers = 0usize;
     let mut idle_timeout_secs = 0u64;
     let mut allow_shutdown = false;
-    let mut batch_max = 1usize;
-    let mut batch_window_us = 1000u64;
     let mut log_json = String::new();
     let mut checkpoint_dir = String::new();
     let mut resume = false;
@@ -295,12 +288,12 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
                     v(&mut it)?.parse().map_err(|_| ParseError("bad --idle-timeout-secs".into()))?
             }
             "--allow-shutdown" => allow_shutdown = true,
-            "--batch-max" => {
-                batch_max = v(&mut it)?.parse().map_err(|_| ParseError("bad --batch-max".into()))?
-            }
-            "--batch-window-us" => {
-                batch_window_us =
-                    v(&mut it)?.parse().map_err(|_| ParseError("bad --batch-window-us".into()))?
+            // Serve does no cross-request batching (every prediction
+            // runs on the worker that read its line); both flags stay
+            // accepted and ignored so existing command lines, the
+            // benchmark's among them, keep working.
+            "--batch-max" | "--batch-window-us" => {
+                v(&mut it)?;
             }
             "--log-json" => log_json = v(&mut it)?,
             "--checkpoint-dir" => checkpoint_dir = v(&mut it)?,
@@ -395,9 +388,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
         "serve" => {
             require("model", &model)?;
             require("dataset", &dataset)?;
-            if batch_max == 0 {
-                return Err(ParseError("--batch-max must be >= 1".into()));
-            }
             if metrics_file.is_empty() && metrics_interval_secs != 0 {
                 return Err(ParseError("--metrics-interval-secs requires --metrics-file".into()));
             }
@@ -409,8 +399,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
                 workers,
                 idle_timeout_secs,
                 allow_shutdown,
-                batch_max,
-                batch_window_us,
                 numerics,
                 metrics_file,
                 metrics_interval_secs,
@@ -610,27 +598,28 @@ mod tests {
 
     #[test]
     fn parses_serve_batch_flags() {
-        let cli = parse(&[
-            "serve",
-            "--model",
-            "m.json",
-            "--dataset",
-            "d.json",
-            "--batch-max",
-            "8",
-            "--batch-window-us",
-            "1500",
-        ])
-        .unwrap();
-        assert!(matches!(cli.command, Command::Serve { batch_max: 8, batch_window_us: 1500, .. }));
-        // Defaults: batching off, 1000 µs window.
-        let cli = parse(&["serve", "--model", "m", "--dataset", "d"]).unwrap();
-        assert!(matches!(cli.command, Command::Serve { batch_max: 1, batch_window_us: 1000, .. }));
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--batch-max", "0"]).is_err());
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--batch-max", "x"]).is_err());
-        assert!(
-            parse(&["serve", "--model", "m", "--dataset", "d", "--batch-window-us", "-5"]).is_err()
-        );
+        // Both flags take a value, whatever it is, and change nothing.
+        let plain = parse(&["serve", "--model", "m", "--dataset", "d"]).unwrap();
+        for (max, window) in [("8", "1500"), ("1", "0"), ("0", "-5"), ("x", "y")] {
+            let args = [
+                "serve",
+                "--model",
+                "m",
+                "--dataset",
+                "d",
+                "--batch-max",
+                max,
+                "--batch-window-us",
+                window,
+            ];
+            assert_eq!(
+                parse(&args).unwrap(),
+                plain,
+                "--batch-max {max} --batch-window-us {window}"
+            );
+        }
+        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--batch-max"]).is_err());
+        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--batch-window-us"]).is_err());
     }
 
     #[test]
@@ -799,8 +788,8 @@ mod tests {
         let mut args = vec!["serve", "--model", "m.json", "--dataset", "d.json"];
         args.extend(&flags);
         match parse(&args).expect("the benchmark's server command line parses").command {
-            Command::Serve { workers, batch_max, numerics, allow_shutdown, .. } => {
-                assert_eq!((workers, batch_max), (2, 8));
+            Command::Serve { workers, numerics, allow_shutdown, .. } => {
+                assert_eq!(workers, 2);
                 assert_eq!(numerics, "exact");
                 assert!(allow_shutdown);
             }

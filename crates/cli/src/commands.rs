@@ -181,8 +181,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             workers,
             idle_timeout_secs,
             allow_shutdown,
-            batch_max,
-            batch_window_us,
             numerics,
             metrics_file,
             metrics_interval_secs,
@@ -203,8 +201,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
                 idle_timeout: (idle_timeout_secs > 0)
                     .then(|| std::time::Duration::from_secs(idle_timeout_secs)),
                 allow_shutdown,
-                batch_max,
-                batch_window: std::time::Duration::from_micros(batch_window_us),
                 numerics: parse_numerics(&numerics),
                 metrics_file: (!metrics_file.is_empty()).then_some(metrics_file),
                 metrics_interval: std::time::Duration::from_secs(metrics_interval_secs),

@@ -35,11 +35,10 @@
 //!
 //! `--model` may be given repeatedly as `NAME=PATH` pairs to serve a
 //! fleet of per-city models from one process — the paper's §VI
-//! deployment story. Each shard loads its own `Arc<M2G4Rtp>`, its own
-//! inference-engine thread (when batching) and its own encoder cache.
-//! Requests carry an optional `"city"` key naming the shard; requests
-//! without one go to the **default shard** (the first `--model`), so
-//! single-model clients are unaffected. An unknown `"city"` is an
+//! deployment story. Each shard loads its own `Arc<M2G4Rtp>` and its
+//! own encoder cache. Requests carry an optional `"city"` key naming
+//! the shard; requests without one go to the **default shard** (the
+//! first `--model`), so single-model clients are unaffected. An unknown `"city"` is an
 //! error reply naming the hosted shards. Per-shard reply counters
 //! (`serve.shard.<name>.requests` / `.errors`) land in the same
 //! registry — and therefore in `{"cmd":"stats"}`, the Prometheus
@@ -53,10 +52,10 @@
 //! worker that received the command), then performs a blue-green swap —
 //! the shard's current `(version, Arc<M2G4Rtp>)` pair is replaced under
 //! a mutex while every other worker keeps serving, and in-flight
-//! requests finish on the weights they started with (their jobs carry
-//! the old generation's `Arc`). Every ok prediction is tagged with the
-//! `model_version` that produced it, so a client can watch the served
-//! model advance. A server started with `--model` *paths* also installs
+//! requests finish on the weights they started with (their worker's
+//! lane holds the old generation's `Arc`). Every ok prediction is
+//! tagged with the `model_version` that produced it, so a client can
+//! watch the served model advance. A server started with `--model` *paths* also installs
 //! a SIGHUP handler: the signal re-reads every shard's original path
 //! through the same swap (the classic config-reload idiom).
 //!
@@ -67,9 +66,6 @@
 //!   under `serve.cache.invalidations`), and a concurrent miss that
 //!   raced the swap refuses to install its now-stale activations — no
 //!   post-swap reply is ever computed from pre-swap encoder state;
-//! * the inference engine batches only jobs of one model generation
-//!   (a job from a newer generation closes the current batch and
-//!   starts the next), and rebuilds its tape per generation;
 //! * worker lanes rebuild their per-shard [`RtpService`] lazily on the
 //!   first request that observes a newer version.
 //!
@@ -82,30 +78,32 @@
 //! swaps count `serve.reload.count`, time themselves into
 //! `serve.reload.duration_us`, and record a `reload` flight event.
 //!
-//! # Micro-batching & encoder cache (`--batch-max`, `--batch-window-us`)
+//! # Encoder cache
 //!
-//! With `--batch-max N` (N > 1), workers stop running the encoders
-//! themselves: each prediction request's graph is shipped to a single
-//! **inference engine** thread, which collects jobs into a micro-batch
-//! — waiting at most `--batch-window-us` after the first job, or until
-//! `N` jobs are queued — runs **one** batched forward
-//! ([`M2G4Rtp::predict_batch_encoded_into`]: per-sample rows stacked
-//! through every encoder matmul), and demultiplexes replies to the
-//! waiting workers over per-job channels. Stacking is bit-identical per
-//! sample to the unbatched path (every batched op is row-local or runs
-//! on a per-sample slice), so batching can change throughput but never
-//! a reply byte.
+//! Every prediction runs on the worker that read its line, on that
+//! worker's lane. Each shard keeps a per-courier **encoder cache** keyed
+//! by courier id and fingerprinted by the full request line:
 //!
-//! Each batched prediction also yields the sample's encoder activations,
-//! which land in a per-courier **encoder cache** keyed by courier id and
-//! fingerprinted by the full request line. A repeat query (same courier,
-//! byte-identical line — i.e. identical route state) skips feature
-//! extraction and the whole encoder stack: the worker replays the cached
-//! activations through the decoders on its own tape
-//! ([`M2G4Rtp::predict_encoded_into`]), again bit-identical to a cold
-//! forward. Any change in the query line (an order served, the courier
-//! moved, time advanced) misses the fingerprint and the fresh result
-//! replaces the stale entry (`serve.cache.invalidations`).
+//! * a miss builds the graph and runs the full forward on the lane's
+//!   tape as a batch of one ([`M2G4Rtp::predict_batch_encoded_into`]),
+//!   which also yields the sample's encoder activations; they are
+//!   installed in the cache;
+//! * a repeat query (same courier, byte-identical line — i.e. identical
+//!   route state) skips feature extraction and the whole encoder stack:
+//!   the worker replays the cached activations through the decoders
+//!   ([`M2G4Rtp::predict_encoded_into`]).
+//!
+//! Both routes are bit-identical to a plain single-sample forward, so
+//! the cache can change latency but never a reply byte. Any change in
+//! the query line (an order served, the courier moved, time advanced)
+//! misses the fingerprint and the fresh result replaces the stale entry
+//! (`serve.cache.invalidations`).
+//!
+//! There is no cross-request batching: a worker waits for its own
+//! reply, so a batch could never hold more queries than there are
+//! workers, and on this model a batch costs more per query than a
+//! single sample. `--batch-max` and `--batch-window-us` are accepted
+//! and ignored so existing command lines keep working.
 //!
 //! # Fault isolation & lifecycle
 //!
@@ -145,7 +143,6 @@
 //!   operator command is not a malformed client request);
 //! * `serve.cache.hits` / `.misses` / `.invalidations` and the
 //!   `serve.cache.hit_rate` gauge — encoder-cache effectiveness;
-//! * `serve.batch_size` — jobs per batched forward histogram;
 //! * `serve.connections` / `serve.conn_errors` / `serve.panics` /
 //!   `serve.timeouts` / `serve.oversize_lines` /
 //!   `serve.dropped_accepts` — connection lifecycle counters (real
@@ -180,17 +177,17 @@
 //!
 //! Every accepted connection mints a [`rtp_obs::TraceCtx`]; every
 //! request line on it gets a u64 trace id (consecutive for pipelined
-//! requests on one connection). Monotonic timestamps follow the
-//! request through worker dispatch → batch-queue enqueue →
-//! inference-engine flush → batched forward → demux → reply write, and
-//! the resulting per-stage durations land in the
-//! `serve.stage.{queue_wait,batch_form,forward,demux,write}_us`
-//! histograms for **every** prediction (traced or not). A client that
-//! sends `"trace": true` in its query additionally gets `trace_id` and
-//! a `stages` breakdown echoed in the reply; with the trace fields
-//! stripped, a traced reply is byte-identical to an untraced one.
-//! Stages are disjoint sub-intervals of the handle window measured
-//! with `saturating_duration_since`, so each duration is finite and
+//! requests on one connection). Per-stage durations land in the
+//! `serve.stage.{forward,write}_us` histograms for **every**
+//! prediction (traced or not): `forward` is the lane's forward
+//! (cache-hit replay or full miss forward) and `write` the reply
+//! construction. A client that sends `"trace": true` in its query
+//! additionally gets `trace_id` and a `stages` breakdown echoed in the
+//! reply (five keys; `queue_wait_us`, `batch_form_us` and `demux_us`
+//! are always 0 because a prediction never crosses a thread); with the
+//! trace fields stripped, a traced reply is byte-identical to an
+//! untraced one. Stages are disjoint sub-intervals of the handle window
+//! measured with `saturating_duration_since`, so each duration is finite and
 //! non-negative and their sum never exceeds `latency_ms`. The
 //! breakdown's `write_us` covers reply construction (apply +
 //! serialize); the `serve.stage.write_us` histogram additionally
@@ -210,7 +207,7 @@
 //!
 //! The server enables [`rtp_obs::flight`]: request, error, span and
 //! panic events (each carrying its trace id) go into fixed per-thread
-//! rings. A worker or engine panic records a `panic` event and — with
+//! rings. A worker panic records a `panic` event and — with
 //! `--flight-dump PATH` — dumps all rings as JSONL through
 //! `write_atomic`, turning the catch_unwind sites into post-mortems;
 //! `{"cmd":"dump"}` returns the same events in-band.
@@ -221,7 +218,6 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -370,12 +366,6 @@ pub struct ServeOptions {
     /// Honour in-band `{"cmd":"shutdown"}` (and the `{"cmd":"panic"}`
     /// fault-injection hook).
     pub allow_shutdown: bool,
-    /// Micro-batch size cap. `<= 1` disables batching and the encoder
-    /// cache entirely (the legacy per-worker path).
-    pub batch_max: usize,
-    /// How long the inference engine waits after a micro-batch's first
-    /// job for more jobs to join it.
-    pub batch_window: Duration,
     /// Numerics tier for the inference tapes (`--numerics`). Replies
     /// from non-default tiers are tagged with a `"numerics"` field so
     /// clients can tell approximate answers from bit-exact ones.
@@ -386,17 +376,9 @@ pub struct ServeOptions {
     pub metrics_file: Option<String>,
     /// Snapshot period for `metrics_file` (zero = the 5 s default).
     pub metrics_interval: Duration,
-    /// Dump the flight recorder as JSONL to this path when a worker or
-    /// engine panic is caught. `None` keeps panics as counters only.
+    /// Dump the flight recorder as JSONL to this path when a worker
+    /// panic is caught. `None` keeps panics as counters only.
     pub flight_dump: Option<String>,
-}
-
-impl ServeOptions {
-    /// Whether the batching engine (and with it the encoder cache) is
-    /// active.
-    fn batching(&self) -> bool {
-        self.batch_max > 1
-    }
 }
 
 /// The per-server metric handles (all on the server's own registry).
@@ -422,7 +404,6 @@ struct ServeMetrics {
     active_connections: Arc<Gauge>,
     latency_us: Arc<Histogram>,
     route_len: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_invalidations: Arc<Counter>,
@@ -436,10 +417,10 @@ struct ServeMetrics {
     /// breakdown.
     req_exact: Arc<Counter>,
     req_quantized: Arc<Counter>,
-    /// Stage-latency histograms (`serve.stage.<name>_us`), indexed in
-    /// [`StageBreakdown::NAMES`] order: queue_wait, batch_form,
-    /// forward, demux, write. Recorded for every ok prediction.
-    stages: [Arc<Histogram>; 5],
+    /// Stage-latency histograms `serve.stage.forward_us` and
+    /// `serve.stage.write_us`, recorded for every ok prediction.
+    stage_forward_us: Arc<Histogram>,
+    stage_write_us: Arc<Histogram>,
     /// Successful hot-swaps (`serve.reload.count`).
     reload_count: Arc<Counter>,
     /// Rejected or failed hot-swaps (`serve.reload.failures`); the
@@ -467,7 +448,6 @@ impl ServeMetrics {
             active_connections: registry.gauge("serve.active_connections"),
             latency_us: registry.histogram("serve.latency_us"),
             route_len: registry.histogram("serve.route_len"),
-            batch_size: registry.histogram("serve.batch_size"),
             cache_hits: registry.counter("serve.cache.hits"),
             cache_misses: registry.counter("serve.cache.misses"),
             cache_invalidations: registry.counter("serve.cache.invalidations"),
@@ -477,21 +457,12 @@ impl ServeMetrics {
             pool_hit_rate: registry.gauge("tensor.pool.hit_rate"),
             req_exact: registry.counter("serve.requests.exact"),
             req_quantized: registry.counter("serve.requests.quantized"),
-            stages: StageBreakdown::NAMES
-                .map(|name| registry.histogram(&format!("serve.stage.{name}_us"))),
+            stage_forward_us: registry.histogram("serve.stage.forward_us"),
+            stage_write_us: registry.histogram("serve.stage.write_us"),
             reload_count: registry.counter("serve.reload.count"),
             reload_failures: registry.counter("serve.reload.failures"),
             reload_duration_us: registry.histogram("serve.reload.duration_us"),
         }
-    }
-
-    /// Records the four in-handler stages of one prediction (write is
-    /// recorded separately, after the socket write it includes).
-    fn record_stages(&self, s: &StageBreakdown) {
-        self.stages[0].record(s.queue_wait_us);
-        self.stages[1].record(s.batch_form_us);
-        self.stages[2].record(s.forward_us);
-        self.stages[3].record(s.demux_us);
     }
 }
 
@@ -513,47 +484,9 @@ struct CacheEntry {
     enc: EncodedQuery,
 }
 
-/// One unit of work for the inference engine: an already-built graph
-/// plus the channel its prediction must come back on. If the engine
-/// drops the sender without replying (batch forward panicked), the
-/// waiting worker answers an internal-error line for just that request.
-struct InferJob {
-    graph: MultiLevelGraph,
-    /// The model generation this job must run on. The engine batches
-    /// only same-version jobs together and runs each batch on the
-    /// job-carried model, so an in-flight request finishes on the
-    /// weights it started with even if a swap lands mid-batch.
-    version: u64,
-    /// The generation's model (blue-green: the worker captured this
-    /// `Arc` before the swap could drop it).
-    model: Arc<M2G4Rtp>,
-    /// Trace id of the request this job belongs to (flight-recorder
-    /// attribution on an engine panic).
-    trace_id: u64,
-    /// When the owning worker enqueued the job (starts `queue_wait`).
-    enqueued: Instant,
-    reply: Sender<EngineReply>,
-}
-
-/// What the inference engine sends back per job: the prediction plus
-/// the engine-side stage timings of this request's batch.
-struct EngineReply {
-    graph: MultiLevelGraph,
-    prediction: Prediction,
-    enc: EncodedQuery,
-    /// Enqueue → engine dequeue of this job.
-    queue_wait_us: u64,
-    /// Dequeue → batch flush (waiting for the micro-batch to form).
-    batch_form_us: u64,
-    /// The batched forward.
-    forward_us: u64,
-    /// When the forward finished (starts `demux` on the worker side).
-    finished: Instant,
-}
-
 /// One hosted model shard: its own read-only model, its own encoder
-/// cache (batching only; per-shard because activations from different
-/// models must never cross-pollinate) and its own reply counters.
+/// cache (per-shard because activations from different models must
+/// never cross-pollinate) and its own reply counters.
 /// Shard 0 is the **default shard**: requests without a `"city"` key
 /// route to it, so a single-model server behaves exactly like the
 /// pre-shard versions.
@@ -573,11 +506,10 @@ struct ShardState {
     /// had one (`rtp serve --model`); SIGHUP re-reads it through the
     /// same swap as the in-band `reload` verb.
     path: Option<String>,
-    /// Per-courier encoder cache; `Some` iff batching is enabled.
-    /// Concurrent misses for the same courier may both insert — that is
-    /// a benign lost-update (same fingerprint + version ⇒ same bits),
-    /// not an invalidation.
-    cache: Option<Mutex<HashMap<usize, Arc<CacheEntry>>>>,
+    /// Per-courier encoder cache. Concurrent misses for the same
+    /// courier may both insert — that is a benign lost-update (same
+    /// fingerprint + version ⇒ same bits), not an invalidation.
+    cache: Mutex<HashMap<usize, Arc<CacheEntry>>>,
     /// `serve.shard.<name>.requests` — ok predictions served by this
     /// shard.
     requests: Arc<Counter>,
@@ -587,7 +519,7 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(spec: ShardSpec, registry: &Registry, batching: bool) -> Self {
+    fn new(spec: ShardSpec, registry: &Registry) -> Self {
         let ShardSpec { name, model, path } = spec;
         let requests = registry.counter(&format!("serve.shard.{name}.requests"));
         let errors = registry.counter(&format!("serve.shard.{name}.errors"));
@@ -596,7 +528,7 @@ impl ShardState {
             current: Mutex::new((1, Arc::new(model))),
             version: AtomicU64::new(1),
             path,
-            cache: batching.then(|| Mutex::new(HashMap::new())),
+            cache: Mutex::new(HashMap::new()),
             requests,
             errors,
         }
@@ -705,15 +637,12 @@ impl ServerShared {
         }
     }
 
-    /// Locks one shard's encoder cache (present iff batching is on),
-    /// recovering from poisoning: cache entries are immutable once
-    /// inserted (only whole-entry replacement), so a panicked holder
-    /// cannot leave a half-written entry behind.
-    fn lock_cache(
-        &self,
-        shard: usize,
-    ) -> Option<std::sync::MutexGuard<'_, HashMap<usize, Arc<CacheEntry>>>> {
-        self.shards[shard].cache.as_ref().map(|c| c.lock().unwrap_or_else(|p| p.into_inner()))
+    /// Locks one shard's encoder cache, recovering from poisoning:
+    /// cache entries are immutable once inserted (only whole-entry
+    /// replacement), so a panicked holder cannot leave a half-written
+    /// entry behind.
+    fn lock_cache(&self, shard: usize) -> MutexGuard<'_, HashMap<usize, Arc<CacheEntry>>> {
+        self.shards[shard].cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Refreshes the `serve.cache.hit_rate` gauge from the counters.
@@ -798,10 +727,10 @@ impl ServerShared {
 }
 
 /// One worker's private inference lane for one shard: its own
-/// [`RtpService`] (pooled no-grad tape) over the shard's model, plus
-/// the job channel into that shard's inference engine (batching only).
-/// The service sits behind a `RefCell` so a hot-swap can rebuild it in
-/// place; the lane is worker-thread-local, and every borrow drops
+/// [`RtpService`] (pooled no-grad tape) over the shard's model. Every
+/// prediction of this worker for this shard — cache hit or miss — runs
+/// here. The service sits behind a `RefCell` so a hot-swap can rebuild
+/// it in place; the lane is worker-thread-local, and every borrow drops
 /// before the request's reply is written (so a caught panic cannot
 /// leave a borrow flag set — guards unwind like any other local).
 struct ShardLane {
@@ -809,7 +738,6 @@ struct ShardLane {
     /// Model generation the service was built over; compared against
     /// the shard's current version on every request.
     version: Cell<u64>,
-    infer_tx: Option<Sender<InferJob>>,
 }
 
 /// One worker's view of the server: a private inference lane per shard
@@ -829,25 +757,21 @@ struct WorkerCtx<'a> {
 }
 
 impl WorkerCtx<'_> {
-    /// Builds one worker's lanes (a service per shard, each cloning
-    /// that shard's engine sender).
+    /// Builds one worker's lanes (a service per shard).
     fn new<'a>(
         worker_id: usize,
         dataset: &'a Dataset,
         shared: &'a ServerShared,
         numerics: Numerics,
-        job_txs: &[Option<Sender<InferJob>>],
     ) -> WorkerCtx<'a> {
         let lanes = shared
             .shards
             .iter()
-            .zip(job_txs)
-            .map(|(shard, tx)| {
+            .map(|shard| {
                 let (version, model) = shard.generation();
                 ShardLane {
                     service: RefCell::new(RtpService::with_numerics(model, numerics)),
                     version: Cell::new(version),
-                    infer_tx: tx.clone(),
                 }
             })
             .collect();
@@ -863,21 +787,20 @@ impl WorkerCtx<'_> {
 
     /// Ensures this worker's lane for `shard_idx` serves the shard's
     /// current generation, rebuilding the lane's service after a
-    /// hot-swap; returns the `(version, model)` pair the caller must
-    /// predict with (and tag the reply with). The pair is captured
-    /// atomically, so the tag always names the weights actually used —
-    /// a swap landing a microsecond later leaves this request on the
-    /// old generation, which is exactly blue-green semantics.
-    fn refresh_lane(&self, shard_idx: usize) -> (u64, Arc<M2G4Rtp>) {
+    /// hot-swap; returns the version of the model the lane now holds,
+    /// which the caller predicts with (and tags the reply with). The
+    /// `(version, model)` pair is captured atomically, so the tag always
+    /// names the weights actually used — a swap landing a microsecond
+    /// later leaves this request on the old generation, which is
+    /// exactly blue-green semantics.
+    fn refresh_lane(&self, shard_idx: usize) -> u64 {
         let lane = &self.lanes[shard_idx];
-        if lane.version.get() == self.shared.shards[shard_idx].version() {
-            let model = Arc::clone(lane.service.borrow().model());
-            return (lane.version.get(), model);
+        if lane.version.get() != self.shared.shards[shard_idx].version() {
+            let (version, model) = self.shared.shards[shard_idx].generation();
+            *lane.service.borrow_mut() = RtpService::with_numerics(model, self.numerics);
+            lane.version.set(version);
         }
-        let (version, model) = self.shared.shards[shard_idx].generation();
-        *lane.service.borrow_mut() = RtpService::with_numerics(Arc::clone(&model), self.numerics);
-        lane.version.set(version);
-        (version, model)
+        lane.version.get()
     }
 }
 
@@ -1013,10 +936,10 @@ pub fn serve(
 /// The multi-shard entry point behind repeatable `--model`: hosts one
 /// model per [`ShardSpec`], routes request lines by their optional
 /// `"city"` key (absent ⇒ the first shard), and gives every shard its
-/// own inference engine and encoder cache. All shards share the worker
-/// pool, the reactor and the telemetry registry. When any
-/// spec carries a path, SIGHUP re-reads every path-ful shard's file
-/// through the hot-swap machinery.
+/// own encoder cache. All shards share the worker pool, the reactor
+/// and the telemetry registry. When any spec carries a path, SIGHUP
+/// re-reads every path-ful shard's file through the hot-swap
+/// machinery.
 pub fn serve_sharded(
     models: Vec<ShardSpec>,
     dataset: Dataset,
@@ -1036,15 +959,6 @@ pub fn serve_sharded(
         writeln!(out, "shards: {names}")?;
         out.flush()?;
     }
-    if opts.batching() {
-        writeln!(
-            out,
-            "batching: max {} / window {} us",
-            opts.batch_max,
-            opts.batch_window.as_micros()
-        )?;
-        out.flush()?;
-    }
 
     // The flight recorder stays on for the server's lifetime: request,
     // error, span and panic events accumulate in per-thread rings so a
@@ -1053,57 +967,24 @@ pub fn serve_sharded(
 
     let registry = Registry::new();
     let shards: Vec<ShardState> =
-        models.into_iter().map(|spec| ShardState::new(spec, &registry, opts.batching())).collect();
+        models.into_iter().map(|spec| ShardState::new(spec, &registry)).collect();
     let shared = ServerShared::new(registry, addr, &opts, shards);
-
-    // One job channel per shard into that shard's inference engine
-    // (batching only). The original senders are dropped after the
-    // workers clone theirs, so each engine's `recv` fails — and the
-    // engine exits — exactly when the last worker has exited.
-    let mut job_txs: Vec<Option<Sender<InferJob>>> = Vec::new();
-    let mut job_rxs: Vec<Option<Receiver<InferJob>>> = Vec::new();
-    for _ in &shared.shards {
-        if opts.batching() {
-            let (tx, rx) = channel::<InferJob>();
-            job_txs.push(Some(tx));
-            job_rxs.push(Some(rx));
-        } else {
-            job_txs.push(None);
-            job_rxs.push(None);
-        }
-    }
 
     // Lives outside the scope so scoped workers can borrow it.
     let queue = RunQueue::default();
     let reactor_result = std::thread::scope(|scope| {
-        for (shard, rx) in shared.shards.iter().zip(job_rxs) {
-            let Some(rx) = rx else { continue };
-            let shared = &shared;
-            let window = opts.batch_window;
-            let batch_max = opts.batch_max;
-            let numerics = opts.numerics;
-            scope.spawn(move || {
-                run_inference_engine(shard, rx, window, batch_max, numerics, shared)
-            });
-        }
-
         for worker_id in 0..workers {
             let queue = &queue;
             let shared = &shared;
             let dataset = &dataset;
             let numerics = opts.numerics;
-            // Each worker clones the per-shard engine senders, so the
-            // originals can drop below and tie engine lifetime to the
-            // workers'.
-            let worker_job_txs: Vec<Option<Sender<InferJob>>> = job_txs.to_vec();
             scope.spawn(move || {
-                let ctx = WorkerCtx::new(worker_id, dataset, shared, numerics, &worker_job_txs);
+                let ctx = WorkerCtx::new(worker_id, dataset, shared, numerics);
                 while let Some(conn) = queue.next() {
                     drain_evented_conn(&ctx, &conn, queue);
                 }
             });
         }
-        drop(job_txs);
 
         // SIGHUP watcher: only armed when some shard knows its backing
         // file. The signal handler itself just bumps a counter; this
@@ -1301,15 +1182,15 @@ fn reload_shard(
     // entries are version-keyed, so anything a racing miss re-inserts
     // under the old version is refused at insert time, and lookups
     // under the new version miss stale entries regardless.
-    if let Some(cache) = &shard.cache {
-        let mut cache = cache.lock().unwrap_or_else(|p| p.into_inner());
+    let stale = {
+        let mut cache = shared.lock_cache(shard_idx);
         let stale = cache.len() as u64;
         cache.clear();
-        drop(cache);
-        if stale > 0 {
-            shared.metrics.cache_invalidations.add(stale);
-            shared.refresh_cache_rate();
-        }
+        stale
+    };
+    if stale > 0 {
+        shared.metrics.cache_invalidations.add(stale);
+        shared.refresh_cache_rate();
     }
     let took_us = t0.elapsed().as_micros() as u64;
     shared.metrics.reload_count.inc();
@@ -1321,122 +1202,6 @@ fn reload_shard(
         )
     });
     Ok(version)
-}
-
-/// One shard's inference engine: collects [`InferJob`]s into
-/// micro-batches and runs one batched forward per batch on its own
-/// pooled no-grad tape over the batch's model generation. With
-/// multiple shards, one engine thread runs per shard — batches never
-/// mix models, and after a hot-swap batches never mix *generations*
-/// either: a job carrying a different version than the forming batch
-/// closes the batch and leads the next one, each batch runs on the
-/// exact `Arc` its jobs captured, and the engine's tape is rebuilt per
-/// generation.
-///
-/// Batch formation: block for the first job, then keep accepting jobs
-/// until `batch_max` are queued, `window` has elapsed since the first
-/// job arrived, or a job of another generation shows up. A panic
-/// inside the batch forward is caught — the tape is dropped (its pool
-/// state is arbitrary mid-panic) and the batch's reply senders are
-/// dropped, so each waiting worker answers an internal-error line for
-/// its own request; the engine keeps serving.
-///
-/// Exits when every worker's job sender for this shard is gone.
-fn run_inference_engine(
-    shard: &ShardState,
-    jobs: Receiver<InferJob>,
-    window: Duration,
-    batch_max: usize,
-    numerics: Numerics,
-    shared: &ServerShared,
-) {
-    // The engine's tape, tagged with the generation it was built for;
-    // `None` after a caught panic or before the first batch.
-    let mut tape: Option<(u64, rtp_tensor::Tape)> = None;
-    // A job that arrived mid-batch but belongs to a newer generation:
-    // it leads the next batch instead of joining this one.
-    let mut carried: Option<InferJob> = None;
-    loop {
-        let first = match carried.take() {
-            Some(job) => job,
-            None => match jobs.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            },
-        };
-        // Per-job dequeue times: job i's queue_wait ends (and its
-        // batch_form begins) the moment the engine receives it.
-        let mut recvs = vec![Instant::now()];
-        let deadline = recvs[0] + window;
-        let mut batch = vec![first];
-        while batch.len() < batch_max {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match jobs.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    if job.version != batch[0].version {
-                        carried = Some(job);
-                        break;
-                    }
-                    batch.push(job);
-                    recvs.push(Instant::now());
-                }
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        shared.metrics.batch_size.record(batch.len() as u64);
-        let flushed = Instant::now();
-        let model = Arc::clone(&batch[0].model);
-        let version = batch[0].version;
-        let mut run_tape = match tape.take() {
-            Some((v, t)) if v == version => t,
-            _ => model.inference_tape(numerics),
-        };
-        let graphs: Vec<&MultiLevelGraph> = batch.iter().map(|j| &j.graph).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            model.predict_batch_encoded_into(&mut run_tape, &graphs)
-        }));
-        drop(graphs);
-        let finished = Instant::now();
-        let forward_us = finished.saturating_duration_since(flushed).as_micros() as u64;
-        match result {
-            Ok(preds) => {
-                tape = Some((version, run_tape));
-                for ((job, recv), (pred, enc)) in batch.into_iter().zip(recvs).zip(preds) {
-                    let InferJob { graph, enqueued, reply, .. } = job;
-                    // A send error only means the worker gave up on the
-                    // connection; nothing to do.
-                    let _ = reply.send(EngineReply {
-                        graph,
-                        prediction: pred,
-                        enc,
-                        queue_wait_us: recv.saturating_duration_since(enqueued).as_micros() as u64,
-                        batch_form_us: flushed.saturating_duration_since(recv).as_micros() as u64,
-                        forward_us,
-                        finished,
-                    });
-                }
-            }
-            Err(_) => {
-                shared.metrics.panics.inc();
-                let size = batch.len();
-                for job in &batch {
-                    flight::record(flight::Kind::Panic, "serve.engine", job.trace_id, || {
-                        format!("batched forward panicked (batch of {size}, shard {})", shard.name)
-                    });
-                }
-                shared.dump_flight();
-                // The panicked tape's pool state is arbitrary: drop it
-                // and rebuild lazily for the next batch. Dropping
-                // `batch` drops every reply sender; each waiting worker
-                // sees RecvError and answers an error line for its own
-                // request only.
-                drop(run_tape);
-            }
-        }
-    }
 }
 
 /// Mints the next trace id on a connection, surfacing a sequence
@@ -1501,7 +1266,7 @@ fn drain_evented_conn(ctx: &WorkerCtx<'_>, conn: &Arc<EvConn>, queue: &RunQueue)
                 }
                 if let Some(ser_us) = stages {
                     let wire_us = wire_t0.elapsed().as_micros() as u64;
-                    ctx.shared.metrics.stages[4].record(ser_us + wire_us);
+                    ctx.shared.metrics.stage_write_us.record(ser_us + wire_us);
                 }
                 ctx.shared.after_reply();
             }
@@ -1720,10 +1485,7 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
                 ));
             };
             let (prediction, mut stages, model_version) =
-                match predict_query(ctx, shard_idx, line, courier, &query, trace_id) {
-                    Ok(p) => p,
-                    Err(e) => return shard_err(e),
-                };
+                predict_query(ctx, shard_idx, line, courier, &query);
             let pred_done = Instant::now();
             let app = match apply_prediction(&query, &prediction) {
                 Ok(app) => app,
@@ -1750,7 +1512,7 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             metrics.route_len.record(query.orders.len() as u64);
             metrics.requests.inc();
             shard.requests.inc();
-            metrics.record_stages(&stages);
+            metrics.stage_forward_us.record(stages.forward_us);
             let numerics = ctx.lanes[shard_idx].service.borrow().numerics();
             match numerics {
                 Numerics::Exact => metrics.req_exact.inc(),
@@ -1802,58 +1564,41 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
     }
 }
 
-/// The Inference (+ Feature Extraction) Layer for one query, routed by
-/// serve mode:
+/// The Inference (+ Feature Extraction) Layer for one query, on this
+/// worker's lane for the shard:
 ///
-/// * batching off — the worker's own lane end to end (graph build +
-///   full forward on its pooled tape);
-/// * batching on, cache hit (same courier, byte-identical line) — the
-///   worker replays the cached encoder activations through the
-///   decoders on its own tape; no graph build, no encoder forward;
-/// * batching on, cache miss — the worker builds the graph, ships it
-///   to the inference engine, blocks on its reply channel, and installs
-///   the returned activations in the cache (replacing a stale entry
-///   counts as `serve.cache.invalidations`).
+/// * cache hit (same courier, byte-identical line, same model
+///   generation) — replay the cached encoder activations through the
+///   decoders; no graph build, no encoder forward;
+/// * cache miss — build the graph, run the full forward, and install
+///   the resulting encoder activations (replacing a stale entry counts
+///   as `serve.cache.invalidations`).
 ///
-/// All three routes produce bit-identical predictions; see the module
-/// docs.
+/// Both routes produce bit-identical predictions; see the module docs.
 ///
 /// Alongside the prediction, returns the request's [`StageBreakdown`]
-/// with everything but `write_us` filled in: the single-thread routes
-/// (unbatched, cache hit) have `queue_wait == batch_form == demux == 0`
-/// and `forward` covering the local forward; the batched route carries
-/// the engine-stamped queue/batch/forward durations plus the demux
-/// latency back to this worker.
+/// with `forward_us` (the lane's forward, graph build excluded) filled
+/// in, and the model version that produced it.
 fn predict_query(
     ctx: &WorkerCtx<'_>,
     shard_idx: usize,
     line: &str,
     courier: &rtp_sim::Courier,
     query: &RtpQuery,
-    trace_id: u64,
-) -> Result<(Prediction, StageBreakdown, u64), String> {
+) -> (Prediction, StageBreakdown, u64) {
     let shared = ctx.shared;
     let metrics = &shared.metrics;
     // Rebuild this worker's lane first if a hot-swap advanced the
-    // shard; `version`/`model` are the generation every byte of this
-    // reply is computed from (and tagged with).
-    let (version, model) = ctx.refresh_lane(shard_idx);
-    let lane = &ctx.lanes[shard_idx];
+    // shard; `version` names the generation every byte of this reply
+    // is computed from (and tagged with).
+    let version = ctx.refresh_lane(shard_idx);
+    let service = ctx.lanes[shard_idx].service.borrow();
     let mut stages = StageBreakdown::default();
-    let Some(infer_tx) = &lane.infer_tx else {
-        let service = lane.service.borrow();
-        let graph = service.build_graph(&ctx.dataset.city, courier, query);
-        let t0 = Instant::now();
-        let prediction = service.predict(&graph);
-        stages.forward_us = t0.elapsed().as_micros() as u64;
-        return Ok((prediction, stages, version));
-    };
     // A cache entry is valid only when both the request line *and* the
     // model generation match: a byte-identical line after a swap must
     // miss, or the reply would replay swapped-out encoder activations.
     let cached = shared
         .lock_cache(shard_idx)
-        .expect("batching implies a cache")
         .get(&query.courier_id)
         .filter(|e| e.fingerprint == line && e.version == version)
         .cloned();
@@ -1861,41 +1606,23 @@ fn predict_query(
         metrics.cache_hits.inc();
         shared.refresh_cache_rate();
         let t0 = Instant::now();
-        let prediction = lane.service.borrow().predict_encoded(&entry.graph, &entry.enc);
+        let prediction = service.predict_encoded(&entry.graph, &entry.enc);
         stages.forward_us = t0.elapsed().as_micros() as u64;
-        return Ok((prediction, stages, version));
+        return (prediction, stages, version);
     }
     metrics.cache_misses.inc();
     shared.refresh_cache_rate();
-    let graph = lane.service.borrow().build_graph(&ctx.dataset.city, courier, query);
-    let (reply_tx, reply_rx) = channel();
-    infer_tx
-        .send(InferJob {
-            graph,
-            version,
-            model,
-            trace_id,
-            enqueued: Instant::now(),
-            reply: reply_tx,
-        })
-        .map_err(|_| "internal error: inference engine unavailable".to_string())?;
-    let engine_reply = reply_rx
-        .recv()
-        .map_err(|_| "internal error: batched inference failed for this request".to_string())?;
-    let EngineReply { graph, prediction, enc, queue_wait_us, batch_form_us, forward_us, finished } =
-        engine_reply;
-    stages.queue_wait_us = queue_wait_us;
-    stages.batch_form_us = batch_form_us;
-    stages.forward_us = forward_us;
-    stages.demux_us = finished.elapsed().as_micros() as u64;
+    let graph = service.build_graph(&ctx.dataset.city, courier, query);
+    let t0 = Instant::now();
+    let (prediction, enc) = service.predict_and_encode(&graph);
+    stages.forward_us = t0.elapsed().as_micros() as u64;
     // Install the activations — unless a swap advanced the shard while
     // this request was in flight, in which case they are already stale
     // and must not land (a later lookup filters on version anyway, but
     // refusing the insert keeps the cache free of dead weight).
     if shared.shards[shard_idx].version() == version {
         let entry = Arc::new(CacheEntry { fingerprint: line.to_string(), version, graph, enc });
-        let mut cache = shared.lock_cache(shard_idx).expect("batching implies a cache");
-        if let Some(old) = cache.insert(query.courier_id, entry) {
+        if let Some(old) = shared.lock_cache(shard_idx).insert(query.courier_id, entry) {
             // Same-fingerprint same-version replacement is a
             // concurrent-miss race, not a route-state change.
             if old.fingerprint != line || old.version != version {
@@ -1903,7 +1630,7 @@ fn predict_query(
             }
         }
     }
-    Ok((prediction, stages, version))
+    (prediction, stages, version)
 }
 
 #[cfg(test)]

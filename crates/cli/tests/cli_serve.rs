@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{query_line, start_server, strip_latency, trained_model, Client};
+use common::{query_line, start_cli_server, start_server, strip_latency, trained_model, Client};
 use m2g4rtp::M2G4Rtp;
 use rtp_cli::serve::{ServeOptions, ServeResponse, StatsReply};
 use std::time::Duration;
@@ -317,24 +317,22 @@ fn fault_isolation_and_multi_worker_determinism() {
     assert!(!summary.contains("0 conn error(s)"), "{summary}");
 }
 
-/// The batching acceptance test: twin servers from one set of saved
-/// weights — an unbatched single-worker reference and a batched
-/// multi-worker system under test with concurrent pipelining clients —
-/// must produce byte-identical replies (modulo the latency field), at
-/// several batch-max/window settings. The pipelining clients keep many
-/// requests in flight at once, so real multi-job batches form, and the
-/// repeat queries across clients exercise the encoder cache's hit path
-/// against the same reference bytes.
+/// Concurrent cache hits and misses on a multi-worker server: four
+/// pipelining clients send the same lines, so each line is a miss on
+/// whichever lane serves it first and a hit for later ones. Every reply
+/// must be byte-identical (modulo the latency field) to a single-worker
+/// reference server running on its own copy of the same weights.
 #[test]
-fn batched_replies_are_byte_identical_to_unbatched() {
+fn concurrent_hits_and_misses_are_byte_identical_to_one_worker() {
     let (dataset, model) = trained_model(181);
     let saved = serde_json::to_string(&model.to_saved()).expect("serialise model");
     let load = || M2G4Rtp::from_saved(serde_json::from_str(&saved).expect("parse model"));
 
+    const CLIENTS: usize = 4;
     const QUERIES: usize = 6;
     let lines: Vec<String> = (0..QUERIES).map(|k| query_line(&dataset, k)).collect();
 
-    // Reference: unbatched, single worker, sequential.
+    // Reference: single worker, sequential.
     let reference: Vec<String> = {
         let opts = ServeOptions { workers: 1, max_requests: QUERIES, ..Default::default() };
         let server = start_server(load(), dataset.clone(), opts);
@@ -344,48 +342,77 @@ fn batched_replies_are_byte_identical_to_unbatched() {
         replies
     };
 
-    for (batch_max, window_us) in [(2usize, 500u64), (4, 2000)] {
-        let opts = ServeOptions {
-            workers: 4,
-            allow_shutdown: true,
-            batch_max,
-            batch_window: Duration::from_micros(window_us),
-            ..Default::default()
-        };
-        let server = start_server(load(), dataset.clone(), opts);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let addr = &server.addr;
-                let lines = &lines;
-                let reference = &reference;
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr);
-                    // pipeline: everything in flight before reading
-                    for line in lines {
-                        client.send(line);
-                    }
-                    for expect in reference {
-                        assert_eq!(
-                            &strip_latency(&client.recv()),
-                            expect,
-                            "batched reply must be byte-identical (batch_max {batch_max})"
-                        );
-                    }
-                });
-            }
-        });
+    let opts = ServeOptions { workers: 4, allow_shutdown: true, ..Default::default() };
+    let server = start_server(load(), dataset.clone(), opts);
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            let addr = &server.addr;
+            let lines = &lines;
+            let reference = &reference;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr);
+                // pipeline: everything in flight before reading
+                for line in lines {
+                    client.send(line);
+                }
+                for expect in reference {
+                    assert_eq!(
+                        &strip_latency(&client.recv()),
+                        expect,
+                        "4-worker reply must be byte-identical to the 1-worker reference"
+                    );
+                }
+            });
+        }
+    });
 
-        let mut c = Client::connect(&server.addr);
-        let stats: StatsReply =
-            serde_json::from_str(&c.round_trip("{\"cmd\":\"stats\"}")).expect("stats parses");
-        let batches = stats.histograms.get("serve.batch_size").map(|h| h.count).unwrap_or(0);
-        assert!(batches > 0, "the engine must have run batched forwards: {:?}", stats.histograms);
-        let hits = stats.counters.get("serve.cache.hits").copied().unwrap_or(0);
-        let misses = stats.counters.get("serve.cache.misses").copied().unwrap_or(0);
-        assert_eq!(hits + misses, (4 * QUERIES) as u64, "every prediction is a hit or a miss");
-        assert!(c.round_trip("{\"cmd\":\"shutdown\"}").contains("shutting down"));
-        server.shutdown_summary();
-    }
+    let mut c = Client::connect(&server.addr);
+    let stats: StatsReply =
+        serde_json::from_str(&c.round_trip("{\"cmd\":\"stats\"}")).expect("stats parses");
+    let hits = stats.counters.get("serve.cache.hits").copied().unwrap_or(0);
+    let misses = stats.counters.get("serve.cache.misses").copied().unwrap_or(0);
+    assert_eq!(hits + misses, (CLIENTS * QUERIES) as u64, "every prediction is a hit or a miss");
+    assert!(hits > 0, "repeat lines must hit the cache: {:?}", stats.counters);
+    assert!(c.round_trip("{\"cmd\":\"shutdown\"}").contains("shutting down"));
+    server.shutdown_summary();
+}
+
+/// `--batch-max` and `--batch-window-us` are accepted and ignored: a
+/// cold query is answered as soon as its own forward finishes, never
+/// held open waiting for other queries to batch with, even when the
+/// flags ask for a 2 s window.
+#[test]
+fn a_cold_query_is_never_held_for_other_queries() {
+    let (dataset, model) = trained_model(183);
+    let dir = std::env::temp_dir().join(format!("rtp-serve-window-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (ds_path, md_path) = (dir.join("d.json"), dir.join("m.json"));
+    std::fs::write(&ds_path, dataset.to_json().expect("serialise dataset")).unwrap();
+    std::fs::write(&md_path, serde_json::to_string(&model.to_saved()).expect("serialise model"))
+        .unwrap();
+
+    let server = start_cli_server(&[
+        "serve",
+        "--model",
+        md_path.to_str().unwrap(),
+        "--dataset",
+        ds_path.to_str().unwrap(),
+        "--workers",
+        "1",
+        "--batch-max",
+        "8",
+        "--batch-window-us",
+        "2000000",
+        "--max-requests",
+        "1",
+    ]);
+    let mut client = Client::connect(&server.addr);
+    let reply = client.round_trip(&query_line(&dataset, 0));
+    let resp = assert_valid_prediction(&reply, dataset.test[0].query.orders.len());
+    assert!(resp.latency_ms < 1000.0, "a cold query waited {} ms: {reply}", resp.latency_ms);
+    let summary = server.shutdown_summary();
+    assert!(summary.contains("served 1 request(s): 1 ok"), "{summary}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The encoder cache's exact behaviour on one connection: repeats of a
@@ -404,13 +431,7 @@ fn encoder_cache_hits_and_invalidations_are_exact_and_bit_identical() {
     let line_a = serde_json::to_string(&q_a).expect("serialise");
     let line_b = serde_json::to_string(&q_b).expect("serialise");
 
-    let opts = ServeOptions {
-        workers: 2,
-        allow_shutdown: true,
-        batch_max: 4,
-        batch_window: Duration::from_micros(200),
-        ..Default::default()
-    };
+    let opts = ServeOptions { workers: 2, allow_shutdown: true, ..Default::default() };
     let server = start_server(model, dataset.clone(), opts);
     let mut client = Client::connect(&server.addr);
 

@@ -84,6 +84,22 @@ pub fn start_server(model: M2G4Rtp, dataset: Dataset, opts: ServeOptions) -> Ser
     ServerHandle { addr, out_rx, join }
 }
 
+/// Runs an `rtp serve` command line (the arguments after the program
+/// name) through the CLI parser and dispatcher on a background thread,
+/// and waits for its address.
+pub fn start_cli_server(args: &[&str]) -> ServerHandle {
+    let cli = rtp_cli::args::parse(args).expect("serve command line parses");
+    let (addr_tx, addr_rx) = channel::<String>();
+    let (out_tx, out_rx) = channel::<String>();
+    let join = std::thread::spawn(move || {
+        let mut sink = AddrSink(addr_tx, out_tx, Vec::new());
+        let code = rtp_cli::commands::run(cli.command, &mut sink).expect("server runs");
+        assert_eq!(code, 0, "rtp serve exit code");
+    });
+    let addr = addr_rx.recv_timeout(Duration::from_secs(60)).expect("server address");
+    ServerHandle { addr, out_rx, join }
+}
+
 /// Spawns a multi-shard `serve_sharded` fleet on an ephemeral port and
 /// waits for its address. Shard order is routing order: the first
 /// shard is the default for requests without a `"city"` key.
@@ -267,7 +283,7 @@ pub fn strip_trace(reply: &str) -> String {
 }
 
 /// The `trace_id` and stage durations echoed in a traced reply, in
-/// [`rtp_obs::StageBreakdown::NAMES`] order.
+/// pipeline order: queue_wait, batch_form, forward, demux, write.
 pub fn parse_trace(reply: &str) -> (u64, [u64; 5]) {
     let v: serde::Value = serde_json::from_str(reply.trim()).expect("traced reply parses");
     let trace_id = match v.get("trace_id") {
@@ -283,5 +299,5 @@ pub fn parse_trace(reply: &str) -> (u64, [u64; 5]) {
         }
         other => panic!("missing stage {name} in {reply}: {other:?}"),
     };
-    (trace_id, rtp_obs::StageBreakdown::NAMES.map(stage))
+    (trace_id, ["queue_wait", "batch_form", "forward", "demux", "write"].map(stage))
 }

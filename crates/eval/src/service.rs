@@ -96,12 +96,6 @@ impl RtpService {
         self.numerics
     }
 
-    /// The shared model handle (e.g. to build another per-worker
-    /// service over the same weights).
-    pub fn model(&self) -> &Arc<M2G4Rtp> {
-        &self.model
-    }
-
     /// Locks the inference tape, recovering from poisoning: if a
     /// previous request panicked mid-prediction the tape's node list
     /// may be in an arbitrary state, but the tape is only a buffer
@@ -156,8 +150,8 @@ impl RtpService {
     }
 
     /// Feature Extraction Layer only: query → scaled multi-level graph.
-    /// Split out so a batching serve layer can extract features on the
-    /// worker thread and ship the graph to a shared inference engine.
+    /// Split out so the serve layer can keep the graph in its encoder
+    /// cache and skip feature extraction on a repeat query.
     pub fn build_graph(&self, city: &City, courier: &Courier, query: &RtpQuery) -> MultiLevelGraph {
         self.model.build_graph(city, courier, query)
     }
@@ -166,6 +160,18 @@ impl RtpService {
     pub fn predict(&self, graph: &MultiLevelGraph) -> Prediction {
         let mut tape = self.lock_tape();
         self.model.predict_into(&mut tape, graph)
+    }
+
+    /// Inference Layer that also returns the sample's encoder
+    /// activations, on this lane's pooled tape — the serve cache's miss
+    /// path. It runs the graph as a batch of one through
+    /// [`M2G4Rtp::predict_batch_encoded_into`], which is bit-identical
+    /// to [`RtpService::predict`]; the activations let a repeat query
+    /// skip the encoders via [`RtpService::predict_encoded`].
+    pub fn predict_and_encode(&self, graph: &MultiLevelGraph) -> (Prediction, EncodedQuery) {
+        let mut tape = self.lock_tape();
+        let mut batch = self.model.predict_batch_encoded_into(&mut tape, &[graph]);
+        batch.pop().expect("one graph in, one prediction out")
     }
 
     /// Inference Layer replaying cached encoder activations on this
@@ -353,10 +359,8 @@ mod tests {
         let courier = &d.couriers[s.query.courier_id];
         let graph = service.build_graph(&d.city, courier, &s.query);
         let cold = service.predict(&graph);
-        let mut tape = Tape::inference();
-        let batched = service.model().predict_batch_encoded_into(&mut tape, &[&graph]);
-        let (batched_pred, enc) = &batched[0];
-        let hot = service.predict_encoded(&graph, enc);
+        let (batched_pred, enc) = service.predict_and_encode(&graph);
+        let hot = service.predict_encoded(&graph, &enc);
         assert_eq!(cold.route, batched_pred.route);
         assert_eq!(cold.route, hot.route);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -1,8 +1,6 @@
 //! Per-request trace context for the serving stack: u64 trace ids
-//! minted at connection accept and a fixed five-stage latency
-//! breakdown that follows one request through worker dispatch,
-//! batch-queue enqueue, the batched forward, reply demux and the reply
-//! write.
+//! minted at connection accept and the stage latency breakdown (model
+//! forward and reply write) of one request's handling.
 //!
 //! A [`TraceCtx`] is created when a connection is accepted; every
 //! request line on that connection then gets its own trace id from
@@ -82,49 +80,28 @@ impl TraceCtx {
 
 /// Per-stage durations (microseconds) of one served request.
 ///
-/// * `queue_wait_us` — from batch-queue enqueue until the inference
-///   engine dequeued the job;
-/// * `batch_form_us` — from dequeue until the micro-batch flushed
-///   (window expiry or the batch filling up);
-/// * `forward_us` — the model forward (batched or per-worker);
-/// * `demux_us` — from forward completion until the owning worker
-///   received its reply;
+/// * `forward_us` — the model forward on the worker's lane (a full
+///   forward on an encoder-cache miss, the decoder replay on a hit);
 /// * `write_us` — reply serialization (in the echoed breakdown; the
 ///   `serve.stage.write_us` histogram additionally includes the socket
 ///   write, which a reply cannot observe about itself).
-///
-/// Unbatched and cache-hit requests have `queue_wait_us ==
-/// batch_form_us == demux_us == 0` — they never cross a thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
-    /// Time spent queued before the inference engine picked the job up.
-    pub queue_wait_us: u64,
-    /// Time the job waited for its micro-batch to form.
-    pub batch_form_us: u64,
     /// Model forward duration.
     pub forward_us: u64,
-    /// Reply demultiplex latency back to the worker.
-    pub demux_us: u64,
     /// Reply serialization (plus socket write in the histogram).
     pub write_us: u64,
 }
 
 impl StageBreakdown {
-    /// Stage names, in pipeline order — the suffixes of the
-    /// `serve.stage.<name>_us` histogram family.
-    pub const NAMES: [&'static str; 5] = ["queue_wait", "batch_form", "forward", "demux", "write"];
-
-    /// Sum of all stage durations.
-    pub fn total_us(&self) -> u64 {
-        self.queue_wait_us + self.batch_form_us + self.forward_us + self.demux_us + self.write_us
-    }
-
-    /// The JSON object spliced into traced replies
-    /// (`"stages":{...}`) — key order is fixed to pipeline order.
+    /// The JSON object spliced into traced replies (`"stages":{...}`).
+    /// It keeps the five keys, in pipeline order, that clients parse:
+    /// `queue_wait_us`, `batch_form_us` and `demux_us` are always 0,
+    /// because a prediction never leaves the thread that read its line.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"queue_wait_us\":{},\"batch_form_us\":{},\"forward_us\":{},\"demux_us\":{},\"write_us\":{}}}",
-            self.queue_wait_us, self.batch_form_us, self.forward_us, self.demux_us, self.write_us
+            "{{\"queue_wait_us\":0,\"batch_form_us\":0,\"forward_us\":{},\"demux_us\":0,\"write_us\":{}}}",
+            self.forward_us, self.write_us
         )
     }
 }
@@ -168,22 +145,11 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_sums_and_serializes_in_pipeline_order() {
-        let s = StageBreakdown {
-            queue_wait_us: 1,
-            batch_form_us: 2,
-            forward_us: 300,
-            demux_us: 4,
-            write_us: 50,
-        };
-        assert_eq!(s.total_us(), 357);
-        let json = s.to_json();
+    fn breakdown_serializes_five_keys_in_pipeline_order() {
+        let s = StageBreakdown { forward_us: 300, write_us: 50 };
         assert_eq!(
-            json,
-            "{\"queue_wait_us\":1,\"batch_form_us\":2,\"forward_us\":300,\"demux_us\":4,\"write_us\":50}"
+            s.to_json(),
+            "{\"queue_wait_us\":0,\"batch_form_us\":0,\"forward_us\":300,\"demux_us\":0,\"write_us\":50}"
         );
-        let order: Vec<usize> =
-            StageBreakdown::NAMES.iter().map(|n| json.find(n).expect("key present")).collect();
-        assert!(order.windows(2).all(|w| w[0] < w[1]), "keys in pipeline order");
     }
 }

@@ -30,7 +30,7 @@ pub enum Kind {
     Span,
     /// A request-level failure that was replied to and survived.
     Error,
-    /// A caught panic (worker, engine, or evaluation thread).
+    /// A caught panic (serve worker or evaluation thread).
     Panic,
     /// Trainer epoch progress.
     Epoch,

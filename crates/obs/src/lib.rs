@@ -19,7 +19,7 @@
 //!   writer in the workspace goes through, so a crash or full disk can
 //!   never leave a truncated artifact behind.
 //! * [`context`] — per-request trace ids ([`context::TraceCtx`], minted
-//!   at connection accept) and the fixed five-stage latency
+//!   at connection accept) and the stage latency
 //!   [`context::StageBreakdown`] the serving layer attributes a
 //!   request's end-to-end latency to.
 //! * [`prom`] — Prometheus text exposition: [`prom::render`] turns any

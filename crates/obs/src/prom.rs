@@ -13,7 +13,7 @@
 //! number of *occupied* buckets.
 //!
 //! Metric names have `.` and `-` mapped to `_`
-//! (`serve.stage.queue_wait_us` → `serve_stage_queue_wait_us`).
+//! (`serve.stage.forward_us` → `serve_stage_forward_us`).
 
 use crate::metrics::{bucket_floor, Snapshot, NUM_BUCKETS};
 
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn sanitize_maps_onto_name_grammar() {
-        assert_eq!(sanitize("serve.stage.queue_wait_us"), "serve_stage_queue_wait_us");
+        assert_eq!(sanitize("serve.stage.forward_us"), "serve_stage_forward_us");
         assert_eq!(sanitize("train.val-krc"), "train_val_krc");
         assert_eq!(sanitize("1weird name"), "_1weird_name");
         assert!(valid_name(&sanitize("1weird name")));
