@@ -439,8 +439,7 @@ impl DeepBaseline {
         let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
 
         // One tape per worker, reused (via `Tape::clear`) across every
-        // sample, batch and epoch of both training phases — the hot loop
-        // allocates from the tape's buffer pool instead of the heap.
+        // sample, batch and epoch of both training phases.
         let workers =
             resolve_threads(self.config.threads).min(self.config.batch_size.max(1)).max(1);
         let mut worker_tapes: Vec<Tape> = (0..workers).map(|_| Tape::new()).collect();
@@ -567,8 +566,8 @@ impl DeepBaseline {
         if graphs.is_empty() {
             return 0.0;
         }
-        // Validation never needs gradients: one pooled no-grad tape
-        // serves every sample.
+        // Validation never needs gradients: one no-grad tape serves
+        // every sample.
         let mut t = Tape::inference();
         let mut sum = 0.0f64;
         for (g, s) in graphs.iter().zip(samples) {
@@ -584,8 +583,7 @@ impl DeepBaseline {
     fn mean_val_mae(&self, graphs: &[MultiLevelGraph], samples: &[RtpSample]) -> f64 {
         let mut sum = 0.0f64;
         let mut n = 0usize;
-        // One pooled no-grad tape across the sweep instead of a fresh
-        // allocation per sample.
+        // One no-grad tape across the sweep.
         let mut t = Tape::inference();
         for (g, s) in graphs.iter().zip(samples) {
             let p = self.predict_graph_into(&mut t, g);
@@ -605,7 +603,7 @@ impl DeepBaseline {
     }
 
     /// Like [`DeepBaseline::predict_graph`] but reuses `t` (cleared
-    /// first), so validation sweeps recycle the tape's buffer pool.
+    /// first), so a validation sweep holds one tape.
     pub fn predict_graph_into(&self, t: &mut Tape, g: &MultiLevelGraph) -> Prediction {
         t.clear();
         let reps = self.encode(t, &self.store, g);

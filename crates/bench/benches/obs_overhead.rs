@@ -183,7 +183,7 @@ fn measure_serve() -> (f64, f64) {
             .collect()
     };
 
-    // Warm-up pass (tape pools, encoder cache churn), then timed
+    // Warm-up pass (encoder cache churn), then timed
     // paired passes; each arm keeps its own min total.
     let mut best = [f64::MAX; 2];
     serve_pass(&addr, &lines);

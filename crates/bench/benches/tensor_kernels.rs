@@ -1,28 +1,24 @@
-//! Matmul-kernel, op and tape-reuse micro-benchmarks for the tensor
-//! engine's hot loop.
+//! Matmul-kernel and op micro-benchmarks for the tensor engine's hot
+//! loop.
 //!
-//! Four measurements, written to `results/tensor_kernels.json`:
+//! Three measurements, written to `results/tensor_kernels.json`:
 //!
 //! 1. **Kernel sweep** — square-matmul GFLOP-rate of the blocked,
 //!    B-packed forward kernel vs the naive reference, both backward
 //!    accumulation kernels, and the quantized (i8) inference tier, at
 //!    n ∈ {16, 32, 64, 128, 256}.
 //! 2. **Op timings** — per-call cost of the two non-matmul ops the
-//!    decoders lean on (masked row softmax, one LSTM step), each on a
-//!    pooled tape cleared between calls so the number is the op, not
-//!    allocation.
-//! 3. **Tape reuse** — forward+backward throughput of a small MLP-like
-//!    program on a fresh `Tape::new()` per iteration vs one pooled
-//!    tape reset with `Tape::clear()`, and the pool hit rate showing
-//!    how many heap allocations the pool absorbs.
-//! 4. **Op profile** — the per-op call/flop/byte counters the tensor
+//!    decoders lean on (masked row softmax, one LSTM step), each on one
+//!    tape cleared between calls, output allocation included as in a
+//!    real forward.
+//! 3. **Op profile** — the per-op call/flop/byte counters the tensor
 //!    layer publishes to the global metrics registry, accumulated over
 //!    a batch of real end-to-end predictions, so the bench records
 //!    *where* the model's arithmetic actually goes.
 
 use rtp_bench::{bench_dataset, bench_meta_json, bench_model};
 use rtp_tensor::nn::LstmCell;
-use rtp_tensor::{kernels, GradBuffer, Numerics, ParamStore, QuantizedMatrix, Tape};
+use rtp_tensor::{kernels, Numerics, ParamStore, QuantizedMatrix, Tape};
 use std::time::Instant;
 
 /// Deterministic pseudo-random fill (no rand dependency needed here).
@@ -118,8 +114,8 @@ fn kernel_sweep() -> Vec<KernelRow> {
 /// Microseconds per call of `masked_softmax_rows` on an n×n block
 /// (n ∈ {10, 20, 40}, a third of the entries masked) and of one 32-wide
 /// LSTM step. Inputs live in a `ParamStore` and are loaded with
-/// `Tape::param`, which copies into pooled buffers, so after the first
-/// call nothing is allocated.
+/// `Tape::param`, which copies them into a fresh buffer as every
+/// forward pass does.
 fn op_timings() -> Vec<(String, f64)> {
     let mut store = ParamStore::new(3);
     let mut rows = Vec::new();
@@ -182,77 +178,11 @@ fn op_profile() -> (usize, Vec<String>) {
     (queries, lines)
 }
 
-/// One forward+backward pass of a tanh MLP; sized small enough that
-/// buffer allocation is a visible share of the pass (the regime the
-/// per-sample training loop actually runs in: graphs are ~10-40 nodes).
-const MLP_DIM: usize = 24;
-const MLP_LAYERS: usize = 6;
-
-fn mlp_pass(t: &mut Tape, store: &ParamStore, ids: &[rtp_tensor::ParamId], buf: &mut GradBuffer) {
-    let mut x = t.constant(MLP_DIM, MLP_DIM, vec![0.5; MLP_DIM * MLP_DIM]);
-    for &w in ids {
-        let wv = t.param(store, w);
-        let h = t.matmul(x, wv);
-        x = t.tanh(h);
-    }
-    let loss = t.mean_all(x);
-    t.backward_into(loss, buf);
-}
-
-struct ReuseResult {
-    fresh_passes_per_sec: f64,
-    reused_passes_per_sec: f64,
-    speedup: f64,
-    pool_hits: u64,
-    pool_misses: u64,
-}
-
-fn tape_reuse() -> ReuseResult {
-    let mut store = ParamStore::new(11);
-    let ids: Vec<_> = (0..MLP_LAYERS as u32)
-        .map(|l| {
-            let mut w = vec![0.0f32; MLP_DIM * MLP_DIM];
-            fill(&mut w, 77 + l);
-            store.add_param(&format!("w{l}"), MLP_DIM, MLP_DIM, w)
-        })
-        .collect();
-    let mut buf = GradBuffer::zeros_like(&store);
-
-    let fresh_spc = time_per_call(|| {
-        let mut t = Tape::new();
-        mlp_pass(&mut t, &store, &ids, &mut buf);
-    });
-
-    let mut pooled = Tape::new();
-    // Warm the pool once, then reset stats-relevant measurement phase:
-    mlp_pass(&mut pooled, &store, &ids, &mut buf);
-    let reused_spc = time_per_call(|| {
-        pooled.clear();
-        mlp_pass(&mut pooled, &store, &ids, &mut buf);
-    });
-    let (pool_hits, pool_misses) = pooled.pool_stats();
-
-    let r = ReuseResult {
-        fresh_passes_per_sec: 1.0 / fresh_spc,
-        reused_passes_per_sec: 1.0 / reused_spc,
-        speedup: fresh_spc / reused_spc,
-        pool_hits,
-        pool_misses,
-    };
-    println!(
-        "tape fresh {:>8.1} passes/s   pooled {:>8.1} passes/s   ({:.2}x)   pool {}h/{}m",
-        r.fresh_passes_per_sec, r.reused_passes_per_sec, r.speedup, r.pool_hits, r.pool_misses
-    );
-    r
-}
-
 fn main() {
     println!("== matmul kernel sweep ==");
     let rows = kernel_sweep();
     println!("== op timings ==");
     let ops = op_timings();
-    println!("== tape reuse ==");
-    let reuse = tape_reuse();
     println!("== op profile ==");
     let (profile_queries, profile_lines) = op_profile();
 
@@ -269,16 +199,10 @@ fn main() {
     let op_entries: Vec<String> =
         ops.iter().map(|(name, us)| format!("    \"{name}\": {us:.3}")).collect();
     let json = format!(
-        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"op_timings\": {{\n{}\n  }},\n  \"tape_reuse\": {{\n    \"fresh_passes_per_sec\": {:.1},\n    \"reused_passes_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \"pool_hits\": {},\n    \"pool_misses\": {},\n    \"pool_hit_rate\": {:.4}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"op_timings\": {{\n{}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
         bench_meta_json(),
         entries.join(",\n"),
         op_entries.join(",\n"),
-        reuse.fresh_passes_per_sec,
-        reuse.reused_passes_per_sec,
-        reuse.speedup,
-        reuse.pool_hits,
-        reuse.pool_misses,
-        reuse.pool_hits as f64 / (reuse.pool_hits + reuse.pool_misses).max(1) as f64,
         profile_lines.join(",\n"),
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");

@@ -91,13 +91,6 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
                     }
                 }
             }
-            if let Some(reuse) = v.get("tape_reuse") {
-                for key in ["fresh_passes_per_sec", "reused_passes_per_sec"] {
-                    if let Some(x) = get_num(reuse, key) {
-                        m.insert(format!("tape_reuse.{key}"), x);
-                    }
-                }
-            }
         }
         "training_throughput" => {
             for row in v.get("rows").and_then(Value::as_array).unwrap_or_default() {
@@ -301,7 +294,6 @@ fn headline(bench: &str) -> Vec<&'static str> {
             "matmul.n128.grad_a_gflops",
             "matmul.n128.grad_b_gflops",
             "matmul.n128.q8_gflops",
-            "tape_reuse.reused_passes_per_sec",
         ],
         "training_throughput" => vec!["threads1.samples_per_sec", "threads2.samples_per_sec"],
         "serve_throughput" => vec![

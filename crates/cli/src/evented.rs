@@ -16,7 +16,7 @@
 //!
 //! # Architecture
 //!
-//! * **Epoll** ([`Epoll`]): level-triggered `EPOLLIN | EPOLLRDHUP` on
+//! * **Epoll** (`Epoll`): level-triggered `EPOLLIN | EPOLLRDHUP` on
 //!   the nonblocking listener and every accepted socket, via direct
 //!   `extern "C"` declarations of `epoll_create1` / `epoll_ctl` /
 //!   `epoll_wait`.

@@ -13,7 +13,7 @@
 //!
 //! `serve` speaks newline-delimited JSON over TCP: each request line is
 //! a serialised [`rtp_sim::RtpQuery`]; each response line is a
-//! [`ServeResponse`]. See `tests/cli_serve.rs` for a client example.
+//! [`serve::ServeResponse`]. See `tests/cli_serve.rs` for a client example.
 //!
 //! Argument parsing is hand-rolled (the workspace is dependency-free by
 //! policy) and lives in [`args`] so it is unit-testable.

@@ -22,7 +22,7 @@
 //! an operator's `reload` line included — is bounded by the quanta
 //! already queued ahead of it.
 //!
-//! Each worker owns its **own** [`RtpService`] per shard — one pooled
+//! Each worker owns its **own** [`RtpService`] per shard — one
 //! no-grad tape per (worker, shard) lane — over shared read-only
 //! `Arc<M2G4Rtp>`s, so inference never contends on a global mutex and
 //! per-worker tape reuse cannot change numerics (cleared-tape reuse is
@@ -85,9 +85,8 @@
 //! by courier id and fingerprinted by the full request line:
 //!
 //! * a miss builds the graph and runs the full forward on the lane's
-//!   tape as a batch of one ([`M2G4Rtp::predict_batch_encoded_into`]),
-//!   which also yields the sample's encoder activations; they are
-//!   installed in the cache;
+//!   tape ([`M2G4Rtp::predict_and_encode_into`]), which also yields the
+//!   sample's encoder activations; they are installed in the cache;
 //! * a repeat query (same courier, byte-identical line — i.e. identical
 //!   route state) skips feature extraction and the whole encoder stack:
 //!   the worker replays the cached activations through the decoders
@@ -110,7 +109,7 @@
 //! * a per-connection I/O error (client reset, broken pipe) drops only
 //!   that connection and increments `serve.conn_errors`;
 //! * a panic inside request handling is caught (`catch_unwind` around
-//!   [`handle_line`]), answers a best-effort error line, drops only
+//!   `handle_line`), answers a best-effort error line, drops only
 //!   that connection and increments `serve.panics`; the worker's tape
 //!   mutex recovers by swapping in a fresh tape;
 //! * a client idle longer than `--idle-timeout-secs` is reaped by the
@@ -162,10 +161,7 @@
 //!   response body is serialized, and the **same** measurement becomes
 //!   the response's `latency_ms` field, so the field and the histogram
 //!   can never disagree;
-//! * `serve.route_len` — orders-per-request histogram;
-//! * `tensor.pool.hits` / `.misses` / `.hit_rate` — the inference
-//!   tapes' buffer-pool stats summed across workers, refreshed after
-//!   every prediction.
+//! * `serve.route_len` — orders-per-request histogram.
 //!
 //! An in-band `{"cmd":"stats"}` request line returns the registry
 //! snapshot (merged with the process-global registry, which carries
@@ -408,9 +404,6 @@ struct ServeMetrics {
     cache_misses: Arc<Counter>,
     cache_invalidations: Arc<Counter>,
     cache_hit_rate: Arc<Gauge>,
-    pool_hits: Arc<Gauge>,
-    pool_misses: Arc<Gauge>,
-    pool_hit_rate: Arc<Gauge>,
     /// Per-numerics-tier ok-prediction counters
     /// (`serve.requests.{exact,quantized}`); both are registered up
     /// front so the stats reply always carries the full tier
@@ -452,9 +445,6 @@ impl ServeMetrics {
             cache_misses: registry.counter("serve.cache.misses"),
             cache_invalidations: registry.counter("serve.cache.invalidations"),
             cache_hit_rate: registry.gauge("serve.cache.hit_rate"),
-            pool_hits: registry.gauge("tensor.pool.hits"),
-            pool_misses: registry.gauge("tensor.pool.misses"),
-            pool_hit_rate: registry.gauge("tensor.pool.hit_rate"),
             req_exact: registry.counter("serve.requests.exact"),
             req_quantized: registry.counter("serve.requests.quantized"),
             stage_forward_us: registry.histogram("serve.stage.forward_us"),
@@ -586,10 +576,6 @@ struct ServerShared {
     addr: SocketAddr,
     max_requests: usize,
     allow_shutdown: bool,
-    /// Tape buffer-pool totals summed across workers (each worker
-    /// contributes deltas of its own service's stats).
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
     /// The hosted model shards; index 0 is the default shard.
     shards: Vec<ShardState>,
     /// Where a caught panic dumps the flight recorder (`--flight-dump`).
@@ -613,8 +599,6 @@ impl ServerShared {
             addr,
             max_requests: opts.max_requests,
             allow_shutdown: opts.allow_shutdown,
-            pool_hits: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
             shards,
             flight_dump: opts.flight_dump.clone(),
         }
@@ -700,34 +684,10 @@ impl ServerShared {
         let n = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
         self.metrics.active_connections.set(n as f64);
     }
-
-    /// Folds one worker's tape-pool delta (summed over its per-shard
-    /// lanes) into the cross-worker totals and refreshes the gauges.
-    /// `last` is the worker's previous reading; `saturating_sub`
-    /// because tape poison-recovery (and a hot-swap lane rebuild)
-    /// resets a lane's stats to zero.
-    fn refresh_pool(&self, lanes: &[ShardLane], last: &Cell<(u64, u64)>) {
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for lane in lanes {
-            let (h, m) = lane.service.borrow().pool_stats();
-            hits += h;
-            misses += m;
-        }
-        let (lh, lm) = last.get();
-        last.set((hits, misses));
-        let h = self.pool_hits.fetch_add(hits.saturating_sub(lh), Ordering::Relaxed)
-            + hits.saturating_sub(lh);
-        let m = self.pool_misses.fetch_add(misses.saturating_sub(lm), Ordering::Relaxed)
-            + misses.saturating_sub(lm);
-        self.metrics.pool_hits.set(h as f64);
-        self.metrics.pool_misses.set(m as f64);
-        let total = h + m;
-        self.metrics.pool_hit_rate.set(if total == 0 { 0.0 } else { h as f64 / total as f64 });
-    }
 }
 
 /// One worker's private inference lane for one shard: its own
-/// [`RtpService`] (pooled no-grad tape) over the shard's model. Every
+/// [`RtpService`] (its own no-grad tape) over the shard's model. Every
 /// prediction of this worker for this shard — cache hit or miss — runs
 /// here. The service sits behind a `RefCell` so a hot-swap can rebuild
 /// it in place; the lane is worker-thread-local, and every borrow drops
@@ -751,9 +711,6 @@ struct WorkerCtx<'a> {
     numerics: Numerics,
     /// Replies written by this worker (`serve.worker.<i>.requests`).
     replies: Arc<Counter>,
-    /// Last `(hits, misses)` reading of this worker's tape pools,
-    /// summed across lanes.
-    pool_last: Cell<(u64, u64)>,
 }
 
 impl WorkerCtx<'_> {
@@ -781,7 +738,6 @@ impl WorkerCtx<'_> {
             shared,
             numerics,
             replies: shared.registry.counter(&format!("serve.worker.{worker_id}.requests")),
-            pool_last: Cell::new((0, 0)),
         }
     }
 
@@ -1352,7 +1308,6 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
         return match cmd.as_str() {
             Some("stats") => {
                 metrics.stats.inc();
-                shared.refresh_pool(&ctx.lanes, &ctx.pool_last);
                 // The global registry carries process-wide metrics
                 // (matmul kernel counters, training gauges); merging
                 // demonstrates snapshot associativity in anger.
@@ -1365,7 +1320,6 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             }
             Some("metrics") => {
                 metrics.stats.inc();
-                shared.refresh_pool(&ctx.lanes, &ctx.pool_last);
                 let text = rtp_obs::prom::render(&merged_snapshot(shared));
                 Reply::Line(
                     serde_json::to_string(&MetricsReply { metrics: text })
@@ -1475,15 +1429,13 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
         Err(e) => shard_err(format!("bad request: {e}")),
         Ok(query) if query.orders.is_empty() => shard_err("bad request: empty order set".into()),
         Ok(query) => {
-            // A wrong courier must be an error, not a silent
-            // courier-0 prediction served as success.
-            let Some(courier) = ctx.dataset.couriers.get(query.courier_id) else {
-                return shard_err(format!(
-                    "unknown courier_id {} (dataset has {} couriers)",
-                    query.courier_id,
-                    ctx.dataset.couriers.len()
-                ));
-            };
+            // Out-of-range ids are errors, never a silent courier-0
+            // prediction, a clamped weekday embedding or a panic in the
+            // city's AOI lookup.
+            if let Err(e) = ctx.dataset.check_query(&query) {
+                return shard_err(format!("bad request: {e}"));
+            }
+            let courier = &ctx.dataset.couriers[query.courier_id];
             let (prediction, mut stages, model_version) =
                 predict_query(ctx, shard_idx, line, courier, &query);
             let pred_done = Instant::now();
@@ -1526,7 +1478,6 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
                     shard.name
                 )
             });
-            shared.refresh_pool(&ctx.lanes, &ctx.pool_last);
             let latency_ms = latency_us as f64 / 1000.0;
             // A client that sent "trace": true gets the id and the
             // stage breakdown echoed (plus the serving shard on a

@@ -200,6 +200,46 @@ fn unknown_courier_is_an_error_not_a_courier0_prediction() {
     server.shutdown_summary();
 }
 
+/// An out-of-range `weekday` or `aoi_id` is a named `bad request` for
+/// its sender: never a prediction from a silently clamped weekday
+/// embedding, never a panic in the city's AOI lookup.
+#[test]
+fn out_of_range_weekday_and_aoi_id_are_bad_requests_not_panics() {
+    let (dataset, model) = trained_model(169);
+    let opts = ServeOptions { max_requests: 4, ..Default::default() };
+    let server = start_server(model, dataset.clone(), opts);
+    let mut client = Client::connect(&server.addr);
+
+    let mut query = dataset.test[0].query.clone();
+    query.weekday = 200;
+    let reply = client.round_trip(&serde_json::to_string(&query).expect("serialise query"));
+    assert!(reply.contains("bad request: weekday 200"), "must name the weekday, got: {reply}");
+
+    let mut query = dataset.test[0].query.clone();
+    let last = query.orders.len() - 1;
+    query.orders[last].aoi_id = dataset.city.aois.len();
+    let reply = client.round_trip(&serde_json::to_string(&query).expect("serialise query"));
+    assert!(
+        reply.contains(&format!(
+            "bad request: orders[{last}].aoi_id: AOI {} is not in the city",
+            dataset.city.aois.len()
+        )),
+        "must name the aoi_id, got: {reply}"
+    );
+
+    // The same connection still serves a good line.
+    let reply = client.round_trip(&query_line(&dataset, 0));
+    assert_valid_prediction(&reply, dataset.test[0].query.orders.len());
+
+    let stats: StatsReply =
+        serde_json::from_str(&client.round_trip("{\"cmd\":\"stats\"}")).expect("stats parses");
+    assert_eq!(stats.counters.get("serve.errors"), Some(&2), "{:?}", stats.counters);
+    assert_eq!(stats.counters.get("serve.shard.default.errors"), Some(&2), "{:?}", stats.counters);
+    assert_eq!(stats.counters.get("serve.requests"), Some(&1), "{:?}", stats.counters);
+    assert_eq!(stats.counters.get("serve.panics"), Some(&0), "{:?}", stats.counters);
+    server.shutdown_summary();
+}
+
 #[test]
 fn idle_connections_are_reaped() {
     let (dataset, model) = trained_model(173);

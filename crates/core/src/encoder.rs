@@ -93,162 +93,9 @@ impl NodeEmbedder {
         self.fuse2.forward(t, store, h)
     }
 
-    /// Embeds every node of every level in `batch`, returning the
-    /// vertically stacked `[Σn, d]` — bit-identical per row to
-    /// [`NodeEmbedder::embed`] on each sample alone.
-    ///
-    /// All per-node paths (continuous projection, id/type embeddings,
-    /// fusion) are row-local, so stacking is exact. The per-sample
-    /// global block is computed as one `[B, ·]` matrix and distributed
-    /// to nodes with a gather, which copies the same bits
-    /// `repeat_rows` would.
-    pub fn embed_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        batch: &LevelBatch<'_>,
-        globals: &[&GlobalFeatures],
-    ) -> TensorId {
-        assert_eq!(batch.len(), globals.len(), "one GlobalFeatures per level");
-        let cont_dim = batch.level(0).cont_dim;
-        let mut cont_data = Vec::with_capacity(batch.total_nodes * cont_dim);
-        let mut aoi_ids = Vec::with_capacity(batch.total_nodes);
-        let mut aoi_types = Vec::with_capacity(batch.total_nodes);
-        for s in 0..batch.len() {
-            let level = batch.level(s);
-            assert_eq!(level.cont_dim, cont_dim, "mixed level widths in one batch");
-            cont_data.extend_from_slice(&level.cont);
-            aoi_ids.extend_from_slice(&level.aoi_ids);
-            aoi_types.extend_from_slice(&level.aoi_types);
-        }
-        let cont_in = t.constant(batch.total_nodes, cont_dim, cont_data);
-        let cont = self.cont.forward(t, store, cont_in);
-        let ids = self.aoi_id.forward(t, store, &aoi_ids);
-        let types = self.aoi_type.forward(t, store, &aoi_types);
-
-        let g_dim = globals[0].cont.len();
-        let mut g_cont_data = Vec::with_capacity(batch.len() * g_dim);
-        let mut weather = Vec::with_capacity(batch.len());
-        let mut weekday = Vec::with_capacity(batch.len());
-        let mut courier = Vec::with_capacity(batch.len());
-        for g in globals {
-            g_cont_data.extend_from_slice(&g.cont);
-            weather.push(g.weather);
-            weekday.push(g.weekday);
-            courier.push(g.courier_id);
-        }
-        let g_cont_in = t.constant(batch.len(), g_dim, g_cont_data);
-        let g_cont = self.global_cont.forward(t, store, g_cont_in);
-        let g_weather = self.weather.forward(t, store, &weather);
-        let g_weekday = self.weekday.forward(t, store, &weekday);
-        let g_courier = self.courier.forward(t, store, &courier);
-        let g = t.concat_cols(&[g_cont, g_weather, g_weekday, g_courier]); // [B, ·]
-        let g_rep = t.gather_rows(g, &batch.row_to_sample); // [Σn, ·]
-
-        let all = t.concat_cols(&[cont, ids, types, g_rep]);
-        let h = self.fuse.forward(t, store, all);
-        let h = t.relu(h);
-        self.fuse2.forward(t, store, h)
-    }
-
     /// Output width `d`.
     pub fn out_dim(&self) -> usize {
         self.d
-    }
-}
-
-/// Row layout of a batch of level graphs stacked vertically: sample
-/// `s`'s node rows occupy `[node_offset(s), node_offset(s) + n_s)` of
-/// every stacked `[Σn, ·]` node tensor and its edge rows
-/// `[edge_offset(s), edge_offset(s) + n_s²)` of every stacked
-/// `[Σn², ·]` edge tensor.
-///
-/// The batched forward relies on the kernel determinism contract
-/// (`rtp_tensor::kernels`): every matmul output element is one fixed
-/// left-to-right accumulation independent of the operand's row count,
-/// so stacking rows of many samples through the same weight matrix
-/// produces bit-identical rows to running each sample alone. Ops whose
-/// shape is per-sample (attention softmax, `add_outer`, neighbour
-/// aggregation) run on per-sample slices gathered from the stack —
-/// gathers copy bits exactly — and are restacked with `concat_rows`.
-pub struct LevelBatch<'a> {
-    levels: Vec<&'a LevelGraph>,
-    /// Per sample: its stacked node-row indices (a contiguous range,
-    /// materialised once so per-layer gathers allocate nothing).
-    node_index: Vec<Vec<usize>>,
-    /// Per sample: its stacked edge-row indices.
-    edge_index: Vec<Vec<usize>>,
-    /// Stacked node row → sample index (for global-feature gathers).
-    row_to_sample: Vec<usize>,
-    /// Stacked edge row `i*n+j` of sample `s` → stacked node row of
-    /// `i` (the batched form of `repeat_interleave_rows`).
-    hi_index: Vec<usize>,
-    /// Stacked edge row `i*n+j` of sample `s` → stacked node row of
-    /// `j` (the batched form of `repeat_rows`).
-    hj_index: Vec<usize>,
-    total_nodes: usize,
-    total_edges: usize,
-}
-
-impl<'a> LevelBatch<'a> {
-    /// Computes the stacking layout for `levels` (all of one level
-    /// kind, so they share feature widths).
-    pub fn new(levels: Vec<&'a LevelGraph>) -> Self {
-        let mut node_index = Vec::with_capacity(levels.len());
-        let mut edge_index = Vec::with_capacity(levels.len());
-        let mut row_to_sample = Vec::new();
-        let mut hi_index = Vec::new();
-        let mut hj_index = Vec::new();
-        let (mut nodes, mut edges) = (0usize, 0usize);
-        for (s, level) in levels.iter().enumerate() {
-            let n = level.n;
-            node_index.push((nodes..nodes + n).collect());
-            edge_index.push((edges..edges + n * n).collect());
-            row_to_sample.extend(std::iter::repeat_n(s, n));
-            for i in 0..n {
-                for j in 0..n {
-                    hi_index.push(nodes + i);
-                    hj_index.push(nodes + j);
-                }
-            }
-            nodes += n;
-            edges += n * n;
-        }
-        Self {
-            levels,
-            node_index,
-            edge_index,
-            row_to_sample,
-            hi_index,
-            hj_index,
-            total_nodes: nodes,
-            total_edges: edges,
-        }
-    }
-
-    /// Number of samples in the batch.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// Sample `s`'s level graph.
-    pub fn level(&self, s: usize) -> &LevelGraph {
-        self.levels[s]
-    }
-
-    /// Sample `s`'s stacked node-row indices.
-    pub fn node_indices(&self, s: usize) -> &[usize] {
-        &self.node_index[s]
-    }
-
-    /// Total stacked node rows `Σn`.
-    pub fn total_nodes(&self) -> usize {
-        self.total_nodes
     }
 }
 
@@ -268,27 +115,6 @@ impl EdgeEmbedder {
     pub fn embed(&self, t: &mut Tape, store: &ParamStore, level: &LevelGraph) -> TensorId {
         let nn = level.n * level.n;
         let raw = t.constant(nn, level.edge_dim, level.edge.clone());
-        self.lin.forward(t, store, raw)
-    }
-
-    /// Projects a whole batch's stacked edge features `[Σn², d]` in one
-    /// matmul — the largest row count of the forward, which is exactly
-    /// where the blocked kernels pay off. Bit-identical per row to
-    /// [`EdgeEmbedder::embed`] (the projection is row-local).
-    pub fn embed_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        batch: &LevelBatch<'_>,
-    ) -> TensorId {
-        let edge_dim = batch.level(0).edge_dim;
-        let mut data = Vec::with_capacity(batch.total_edges * edge_dim);
-        for s in 0..batch.len() {
-            let level = batch.level(s);
-            assert_eq!(level.edge_dim, edge_dim, "mixed edge widths in one batch");
-            data.extend_from_slice(&level.edge);
-        }
-        let raw = t.constant(batch.total_edges, edge_dim, data);
         self.lin.forward(t, store, raw)
     }
 }
@@ -423,88 +249,6 @@ impl GatELayer {
         (x_out, z_out)
     }
 
-    /// Applies the layer to a whole batch: stacked node features
-    /// `x [Σn, d]`, stacked edge features `z [Σn², d]`. Returns the
-    /// stacked `(x', z')`, each row bit-identical to
-    /// [`GatELayer::forward`] on its sample alone.
-    ///
-    /// The expensive matmuls (`W1..W5`, the `[Σn², d]` edge paths) run
-    /// once over the stack; only the per-sample-shaped attention pieces
-    /// (`add_outer`, masked softmax over the sample's adjacency, the
-    /// `α @ hv` aggregation) run per sample on gathered slices.
-    pub fn forward_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        x: TensorId,
-        z: TensorId,
-        batch: &LevelBatch<'_>,
-    ) -> (TensorId, TensorId) {
-        let (rows, d) = t.shape(x);
-        assert_eq!(d, self.d, "GAT-e width mismatch");
-        assert_eq!(rows, batch.total_nodes, "stacked node rows mismatch");
-
-        let mut node_outs = Vec::with_capacity(self.heads.len());
-        let mut edge_outs = Vec::with_capacity(self.heads.len());
-        for h in &self.heads {
-            // ---- stacked attention projections (Eq. 20) ----
-            let w1 = t.param(store, h.w1);
-            let h1 = t.matmul(x, w1); // [Σn, dh]
-            let al = t.param(store, h.a_left);
-            let ar = t.param(store, h.a_right);
-            let s_left = t.matmul(h1, al); // [Σn, 1]
-            let s_right = t.matmul(h1, ar); // [Σn, 1]
-            let ae = t.param(store, h.a_e);
-            let e_att = t.matmul(z, ae); // [Σn², 1]
-            let w2 = t.param(store, h.w2);
-            let hv = t.matmul(x, w2); // [Σn, dh]
-                                      // ---- per-sample softmax + aggregation (Eqs. 21/22) ----
-            let mut aggs = Vec::with_capacity(batch.len());
-            for s in 0..batch.len() {
-                let n = batch.level(s).n;
-                let nodes = &batch.node_index[s];
-                let sl = t.gather_rows(s_left, nodes);
-                let sr = t.gather_rows(s_right, nodes);
-                let e = t.gather_rows(e_att, &batch.edge_index[s]);
-                let e = t.reshape(e, n, n);
-                let pair = t.add_outer(sl, sr); // [n, n]
-                let logits = t.add(pair, e);
-                let logits = t.leaky_relu(logits, self.slope);
-                let alpha = t.masked_softmax_rows(logits, &batch.level(s).adj);
-                let hv_s = t.gather_rows(hv, nodes);
-                aggs.push(t.matmul(alpha, hv_s)); // [n, dh]
-            }
-            let agg = t.concat_rows(&aggs); // [Σn, dh]
-            node_outs.push(if self.last { agg } else { t.relu(agg) });
-            // ---- stacked edge update (Eqs. 23/25) ----
-            if !self.last {
-                let w3 = t.param(store, h.w3);
-                let w4 = t.param(store, h.w4);
-                let w5 = t.param(store, h.w5);
-                let ze = t.matmul(z, w3); // [Σn², dh]
-                let hi = t.matmul(x, w4);
-                let hi = t.gather_rows(hi, &batch.hi_index); // row i*n+j -> h_i
-                let hj = t.matmul(x, w5);
-                let hj = t.gather_rows(hj, &batch.hj_index); // row i*n+j -> h_j
-                let sum = t.add(ze, hi);
-                let sum = t.add(sum, hj);
-                edge_outs.push(t.relu(sum));
-            }
-        }
-        let x_out = if self.last {
-            let mut acc = node_outs[0];
-            for &o in &node_outs[1..] {
-                acc = t.add(acc, o);
-            }
-            let mean = t.scale(acc, 1.0 / node_outs.len() as f32);
-            t.relu(mean)
-        } else {
-            t.concat_cols(&node_outs)
-        };
-        let z_out = if self.last { z } else { t.concat_cols(&edge_outs) };
-        (x_out, z_out)
-    }
-
     /// Per-head width.
     pub fn head_dim(&self) -> usize {
         self.dh
@@ -549,25 +293,6 @@ impl GatEncoder {
         let mut z = z;
         for layer in &self.layers {
             let (nx, nz) = layer.forward(t, store, x, z, adj);
-            x = nx;
-            z = nz;
-        }
-        x
-    }
-
-    /// Encodes a whole stacked batch (see [`GatELayer::forward_batch`]).
-    pub fn forward_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        x: TensorId,
-        z: TensorId,
-        batch: &LevelBatch<'_>,
-    ) -> TensorId {
-        let mut x = x;
-        let mut z = z;
-        for layer in &self.layers {
-            let (nx, nz) = layer.forward_batch(t, store, x, z, batch);
             x = nx;
             z = nz;
         }
@@ -650,32 +375,6 @@ impl Encoder {
         match self {
             Encoder::Gat(g) => g.forward(t, store, x, z, adj),
             Encoder::BiLstm(b) => b.forward(t, store, x),
-        }
-    }
-
-    /// Encodes a stacked batch. The GAT path batches the heavy matmuls
-    /// across samples; the BiLSTM ablation is inherently sequential per
-    /// sample, so it runs each sample's slice alone and restacks —
-    /// still bit-identical, just without the batching win.
-    pub fn forward_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        x: TensorId,
-        z: TensorId,
-        batch: &LevelBatch<'_>,
-    ) -> TensorId {
-        match self {
-            Encoder::Gat(g) => g.forward_batch(t, store, x, z, batch),
-            Encoder::BiLstm(b) => {
-                let outs: Vec<TensorId> = (0..batch.len())
-                    .map(|s| {
-                        let xs = t.gather_rows(x, batch.node_indices(s));
-                        b.forward(t, store, xs)
-                    })
-                    .collect();
-                t.concat_rows(&outs)
-            }
         }
     }
 }
@@ -786,54 +485,6 @@ mod tests {
         let x2 = t2.constant(n, 16, rev);
         let out2 = enc.forward(&mut t2, &store, x2);
         assert_ne!(t.data(out), t2.data(out2), "BiLSTM must be order-sensitive");
-    }
-
-    #[test]
-    fn batched_encode_is_bit_identical_to_per_sample() {
-        // Three graphs of different sizes through the full embed+encode
-        // stack, stacked vs alone: every output row must carry the very
-        // same bits (the kernel determinism contract makes row-stacking
-        // exact; this guards the batched wiring on top of it).
-        let d = DatasetBuilder::new(DatasetConfig::tiny(52)).build();
-        let graphs: Vec<_> = d.train[..3]
-            .iter()
-            .map(|s| {
-                GraphBuilder::new(GraphConfig::default()).build(
-                    &s.query,
-                    &d.city,
-                    &d.couriers[s.query.courier_id],
-                )
-            })
-            .collect();
-        let mut store = ParamStore::new(7);
-        let cont_dim = graphs[0].locations.cont_dim;
-        let node = NodeEmbedder::new(&mut store, "ne", cont_dim, 4, 400, 64, 8, 32);
-        let edge = EdgeEmbedder::new(&mut store, "ee", graphs[0].locations.edge_dim, 32);
-        let enc = GatEncoder::new(&mut store, "enc", 32, 4, 2, 0.2);
-
-        let mut tb = Tape::new();
-        let batch = LevelBatch::new(graphs.iter().map(|g| &g.locations).collect());
-        let globals: Vec<_> = graphs.iter().map(|g| &g.global).collect();
-        let xb = node.embed_batch(&mut tb, &store, &batch, &globals);
-        let zb = edge.embed_batch(&mut tb, &store, &batch);
-        let out_b = enc.forward_batch(&mut tb, &store, xb, zb, &batch);
-        let stacked = tb.data(out_b).to_vec();
-
-        let mut offset = 0usize;
-        for g in &graphs {
-            let mut t = Tape::new();
-            let x = node.embed(&mut t, &store, &g.locations, &g.global);
-            let z = edge.embed(&mut t, &store, &g.locations);
-            let out = enc.forward(&mut t, &store, x, z, &g.locations.adj);
-            let alone = t.data(out);
-            let rows = g.locations.n * 32;
-            let batched_bits: Vec<u32> =
-                stacked[offset..offset + rows].iter().map(|v| v.to_bits()).collect();
-            let alone_bits: Vec<u32> = alone.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(batched_bits, alone_bits, "batched rows must be bit-identical");
-            offset += rows;
-        }
-        assert_eq!(offset, stacked.len(), "batch must cover exactly the stacked rows");
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub use checkpoint::{
 };
 pub use config::{ModelConfig, Variant};
 pub use decoder::{RouteDecoder, SortLstm};
-pub use encoder::{
-    BiLstmEncoder, EdgeEmbedder, Encoder, GatELayer, GatEncoder, LevelBatch, NodeEmbedder,
-};
+pub use encoder::{BiLstmEncoder, EdgeEmbedder, Encoder, GatELayer, GatEncoder, NodeEmbedder};
 pub use model::{derive_aoi_outputs, EncodedQuery, M2G4Rtp, Prediction, SampleLosses, SavedModel};
 pub use trainer::{EpochStats, TrainConfig, TrainReport, Trainer};
 

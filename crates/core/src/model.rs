@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::config::{ModelConfig, Variant};
 use crate::decoder::{RouteDecoder, SortLstm};
-use crate::encoder::{BiLstmEncoder, EdgeEmbedder, Encoder, GatEncoder, LevelBatch, NodeEmbedder};
+use crate::encoder::{BiLstmEncoder, EdgeEmbedder, Encoder, GatEncoder, NodeEmbedder};
 use crate::TIME_SCALE;
 
 /// Inference output for one query: routes and arrival times at both
@@ -474,24 +474,47 @@ impl M2G4Rtp {
 
     /// Greedy joint inference on a pre-built (scaled) graph.
     ///
-    /// Runs on a fresh no-grad tape; latency-sensitive callers should
-    /// hold a [`Tape::inference`] tape and use
-    /// [`M2G4Rtp::predict_into`] to reuse its buffers across queries.
+    /// Runs on a fresh no-grad tape; callers answering many queries
+    /// can hold one [`Tape::inference`] tape and use
+    /// [`M2G4Rtp::predict_into`].
     pub fn predict(&self, g: &MultiLevelGraph) -> Prediction {
         self.predict_into(&mut Tape::inference(), g)
     }
 
-    /// Like [`M2G4Rtp::predict`], but reuses `t` (cleared first), so
-    /// repeated queries are served without tape allocations. `t` is
-    /// typically a [`Tape::inference`] tape; a grad tape works too but
-    /// pays for gradient buffers nobody reads.
+    /// Like [`M2G4Rtp::predict`], but runs on `t` (cleared first). `t`
+    /// is typically a [`Tape::inference`] tape; a grad tape works too
+    /// but pays for gradient buffers nobody reads.
     pub fn predict_into(&self, t: &mut Tape, g: &MultiLevelGraph) -> Prediction {
         t.clear();
+        let (u, x_loc, x_aoi) = self.encode(t, g);
+        self.decode_levels(t, &self.store, g, u, x_loc, x_aoi)
+    }
+
+    /// Like [`M2G4Rtp::predict_into`], but also extracts the sample's
+    /// encoder activations so a serving layer can cache them (see
+    /// [`EncodedQuery`]). The prediction is the very same forward.
+    pub fn predict_and_encode_into(
+        &self,
+        t: &mut Tape,
+        g: &MultiLevelGraph,
+    ) -> (Prediction, EncodedQuery) {
+        t.clear();
+        let (u, x_loc, x_aoi) = self.encode(t, g);
+        let enc = EncodedQuery {
+            x_loc: t.data(x_loc).to_vec(),
+            x_aoi: x_aoi.map(|x| t.data(x).to_vec()),
+        };
+        (self.decode_levels(t, &self.store, g, u, x_loc, x_aoi), enc)
+    }
+
+    /// The inference encoders: courier representation `u` and the
+    /// location- and (when present) AOI-level node encodings.
+    fn encode(&self, t: &mut Tape, g: &MultiLevelGraph) -> (TensorId, TensorId, Option<TensorId>) {
         let store = &self.store;
         let u = self.courier_repr(t, store, g);
         let x_loc = self.encode_loc(t, store, g);
         let x_aoi = self.aoi_level.as_ref().map(|_| self.encode_aoi(t, store, g));
-        self.decode_levels(t, store, g, u, x_loc, x_aoi)
+        (u, x_loc, x_aoi)
     }
 
     /// The i8 quantized snapshot of this model's weight matrices,
@@ -515,9 +538,9 @@ impl M2G4Rtp {
 
     /// The shared greedy decode tail: AOI route/time decoding, the
     /// guidance pathway (Eq. 34) and the location decoders, starting
-    /// from already-encoded node representations. Every inference entry
-    /// point (cold, batched, cached-activation) funnels through this,
-    /// so equal encoder bits guarantee equal predictions.
+    /// from already-encoded node representations. Every greedy entry
+    /// point (cold, encode-and-cache, cached-activation) funnels through
+    /// this, so equal encoder bits guarantee equal predictions.
     fn decode_levels(
         &self,
         t: &mut Tape,
@@ -562,110 +585,19 @@ impl M2G4Rtp {
         }
     }
 
-    /// Batched courier representations `[B, d_u]`, row `s` bit-identical
-    /// to [`M2G4Rtp::courier_repr`] for `graphs[s]` (embedding lookup
-    /// and the profile constant are both row-local).
-    fn courier_repr_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        graphs: &[&MultiLevelGraph],
-    ) -> TensorId {
-        let ids: Vec<usize> = graphs.iter().map(|g| g.global.courier_id).collect();
-        let emb = self.courier_emb.forward(t, store, &ids);
-        let mut profile = Vec::with_capacity(graphs.len() * 3);
-        for g in graphs {
-            profile.extend_from_slice(&g.global.cont[..3]);
-        }
-        let profile = t.constant(graphs.len(), 3, profile);
-        t.concat_cols(&[emb, profile])
-    }
-
-    /// Encodes a batch of graphs in stacked forwards and returns, per
-    /// sample, its `(u, x_loc, x_aoi)` tensors sliced out of the stack.
-    fn encode_batch(
-        &self,
-        t: &mut Tape,
-        store: &ParamStore,
-        graphs: &[&MultiLevelGraph],
-    ) -> Vec<(TensorId, TensorId, Option<TensorId>)> {
-        let u_all = self.courier_repr_batch(t, store, graphs);
-        let globals: Vec<&rtp_graph::GlobalFeatures> = graphs.iter().map(|g| &g.global).collect();
-
-        let loc_batch = LevelBatch::new(graphs.iter().map(|g| &g.locations).collect());
-        let x = self.node_emb_loc.embed_batch(t, store, &loc_batch, &globals);
-        let z = self.edge_emb_loc.embed_batch(t, store, &loc_batch);
-        let x_loc_all = self.enc_loc.forward_batch(t, store, x, z, &loc_batch);
-
-        let x_aoi_all = self.aoi_level.as_ref().map(|aoi| {
-            let aoi_batch = LevelBatch::new(graphs.iter().map(|g| &g.aois).collect());
-            let x = aoi.node_emb.embed_batch(t, store, &aoi_batch, &globals);
-            let z = aoi.edge_emb.embed_batch(t, store, &aoi_batch);
-            let x_aoi = aoi.enc.forward_batch(t, store, x, z, &aoi_batch);
-            (x_aoi, aoi_batch)
-        });
-
-        (0..graphs.len())
-            .map(|s| {
-                let u = t.gather_rows(u_all, &[s]);
-                let x_loc = t.gather_rows(x_loc_all, loc_batch.node_indices(s));
-                let x_aoi = x_aoi_all
-                    .as_ref()
-                    .map(|(all, batch)| t.gather_rows(*all, batch.node_indices(s)));
-                (u, x_loc, x_aoi)
-            })
-            .collect()
-    }
-
-    /// Greedy joint inference for a whole micro-batch on one tape.
-    ///
-    /// The encoders run as stacked forwards over all samples (one big
-    /// matmul per weight instead of `B` small ones — the row counts
-    /// where the blocked kernels earn their keep); the sequential
-    /// decoders then run per sample. Each returned prediction is
-    /// **bit-identical** to [`M2G4Rtp::predict_into`] on that graph
-    /// alone: every batched op is either row-local (matmul rows,
-    /// elementwise, gathers) or runs on a per-sample slice carrying the
-    /// same bits.
+    /// [`M2G4Rtp::predict_into`] over each graph in turn on one tape.
     pub fn predict_batch_into(&self, t: &mut Tape, graphs: &[&MultiLevelGraph]) -> Vec<Prediction> {
-        t.clear();
-        if graphs.is_empty() {
-            return Vec::new();
-        }
-        let store = &self.store;
-        let encoded = self.encode_batch(t, store, graphs);
-        encoded
-            .into_iter()
-            .zip(graphs)
-            .map(|((u, x_loc, x_aoi), g)| self.decode_levels(t, store, g, u, x_loc, x_aoi))
-            .collect()
+        graphs.iter().map(|g| self.predict_into(t, g)).collect()
     }
 
-    /// Like [`M2G4Rtp::predict_batch_into`], but also extracts each
-    /// sample's encoder activations so a serving layer can cache them
-    /// (see [`EncodedQuery`]).
+    /// [`M2G4Rtp::predict_and_encode_into`] over each graph in turn on
+    /// one tape.
     pub fn predict_batch_encoded_into(
         &self,
         t: &mut Tape,
         graphs: &[&MultiLevelGraph],
     ) -> Vec<(Prediction, EncodedQuery)> {
-        t.clear();
-        if graphs.is_empty() {
-            return Vec::new();
-        }
-        let store = &self.store;
-        let encoded = self.encode_batch(t, store, graphs);
-        encoded
-            .into_iter()
-            .zip(graphs)
-            .map(|((u, x_loc, x_aoi), g)| {
-                let enc = EncodedQuery {
-                    x_loc: t.data(x_loc).to_vec(),
-                    x_aoi: x_aoi.map(|x| t.data(x).to_vec()),
-                };
-                (self.decode_levels(t, store, g, u, x_loc, x_aoi), enc)
-            })
-            .collect()
+        graphs.iter().map(|g| self.predict_and_encode_into(t, g)).collect()
     }
 
     /// Greedy joint inference replaying cached encoder activations:

@@ -269,8 +269,7 @@ impl Trainer {
             }
         }
         // One tape per worker, reused (via `clear()`) across every
-        // sample of every epoch — steady-state training allocates no
-        // tape buffers.
+        // sample of every epoch.
         let workers = resolve_threads(self.config.threads).min(self.config.batch_size.max(1));
         let mut worker_tapes: Vec<Tape> = (0..workers.max(1)).map(|_| Tape::new()).collect();
         for epoch in start_epoch..self.config.epochs {
@@ -456,24 +455,19 @@ fn validate(
     if graphs.is_empty() {
         return (0.0, 0.0);
     }
-    // Batched sweep: stack samples through the encoders in chunks so the
-    // blocked kernels see real row counts. `predict_batch_into` is
-    // bit-identical per sample to `predict_into`, so metrics are
-    // unchanged — only wall clock moves.
-    const VAL_BATCH: usize = 8;
+    // One sample at a time on one no-grad tape: stacking samples
+    // through the encoders measured no faster.
     let mut krc_sum = 0.0;
     let mut mae_sum = 0.0;
     let mut n_locs = 0usize;
     let mut tape = Tape::inference();
-    for (gs, ss) in graphs.chunks(VAL_BATCH).zip(samples.chunks(VAL_BATCH)) {
-        let refs: Vec<&MultiLevelGraph> = gs.iter().collect();
-        for (p, s) in model.predict_batch_into(&mut tape, &refs).iter().zip(ss) {
-            krc_sum += rtp_metrics::krc(&p.route, &s.truth.route);
-            for (pt, yt) in p.times.iter().zip(&s.truth.arrival) {
-                mae_sum += (*pt - *yt).abs() as f64;
-            }
-            n_locs += s.truth.arrival.len();
+    for (g, s) in graphs.iter().zip(samples) {
+        let p = model.predict_into(&mut tape, g);
+        krc_sum += rtp_metrics::krc(&p.route, &s.truth.route);
+        for (pt, yt) in p.times.iter().zip(&s.truth.arrival) {
+            mae_sum += (*pt - *yt).abs() as f64;
         }
+        n_locs += s.truth.arrival.len();
     }
     (krc_sum / graphs.len() as f64, mae_sum / n_locs.max(1) as f64)
 }

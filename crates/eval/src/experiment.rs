@@ -91,7 +91,7 @@ pub struct M2gPredictor {
     /// The trained model.
     pub model: M2G4Rtp,
     name: &'static str,
-    /// Pooled no-grad tape reused across every test query.
+    /// No-grad tape every test query runs on (cleared first).
     tape: Mutex<Tape>,
 }
 
@@ -101,12 +101,12 @@ impl M2gPredictor {
         Self { model, name, tape: Mutex::new(Tape::inference()) }
     }
 
-    /// Locks the pooled tape, recovering from poison. A panic in
-    /// another evaluation thread poisons the mutex, but the tape is
-    /// only a buffer cache — no state crosses predictions — so the
-    /// recovery (clear the poison, swap in a fresh inference tape) is
-    /// bit-identical to the unpoisoned path. Without this, one panicked
-    /// prediction would cascade into failing the whole evaluation run.
+    /// Locks the tape, recovering from poison. A panic in another
+    /// evaluation thread poisons the mutex, but no state crosses
+    /// predictions on the tape, so the recovery (clear the poison, swap
+    /// in a fresh inference tape) is bit-identical to the unpoisoned
+    /// path. Without this, one panicked prediction would cascade into
+    /// failing the whole evaluation run.
     fn lock_tape(&self) -> std::sync::MutexGuard<'_, Tape> {
         match self.tape.lock() {
             Ok(guard) => guard,

@@ -7,9 +7,9 @@
 //!
 //! One [`RtpService`] is a *single inference lane*: it shares the model
 //! read-only (via `Arc`, so a worker pool clones the handle, not the
-//! weights) and owns one pooled no-grad [`Tape`]. The serve layer
-//! builds one service per worker thread, so concurrent requests never
-//! contend on a tape mutex.
+//! weights) and owns one no-grad [`Tape`]. The serve layer builds one
+//! service per worker thread, so concurrent requests never contend on a
+//! tape mutex.
 
 use m2g4rtp::{EncodedQuery, M2G4Rtp, Prediction};
 use rtp_graph::MultiLevelGraph;
@@ -52,9 +52,7 @@ pub struct RtpService {
     /// Numerics tier every prediction of this lane runs under
     /// (exact by default; quantized is a serve-time opt-in).
     numerics: Numerics,
-    /// No-grad tape reused (cleared, not reallocated) across requests:
-    /// after the first request the Inference Layer runs allocation-free
-    /// out of the tape's buffer pool.
+    /// No-grad tape every request of this lane runs on (cleared first).
     tape: Mutex<Tape>,
 }
 
@@ -98,11 +96,11 @@ impl RtpService {
 
     /// Locks the inference tape, recovering from poisoning: if a
     /// previous request panicked mid-prediction the tape's node list
-    /// may be in an arbitrary state, but the tape is only a buffer
-    /// cache — correctness never depends on its history (cleared-tape
-    /// reuse is bit-identical to a fresh tape) — so we swap in a fresh
-    /// no-grad tape and keep serving instead of dying on
-    /// `.expect("poisoned")` for every later request.
+    /// may be in an arbitrary state, but correctness never depends on
+    /// the tape's history (cleared-tape reuse is bit-identical to a
+    /// fresh tape) — so we swap in a fresh no-grad tape and keep serving
+    /// instead of dying on `.expect("poisoned")` for every later
+    /// request.
     fn lock_tape(&self) -> MutexGuard<'_, Tape> {
         match self.tape.lock() {
             Ok(guard) => guard,
@@ -121,13 +119,6 @@ impl RtpService {
         }
     }
 
-    /// Buffer-pool statistics `(hits, misses)` of the pooled inference
-    /// tape — the serving layer exports these as registry gauges so the
-    /// `stats` request can report the steady-state hit rate.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        self.lock_tape().pool_stats()
-    }
-
     /// Handles one RTP request end to end.
     ///
     /// Returns `Err` when the model's prediction does not line up with
@@ -142,7 +133,7 @@ impl RtpService {
         let t0 = std::time::Instant::now();
         // Feature Extraction Layer
         let graph = self.build_graph(city, courier, query);
-        // Inference Layer — pooled no-grad tape
+        // Inference Layer — this lane's no-grad tape
         let prediction = self.predict(&graph);
         // Application Layer
         let app = apply_prediction(query, &prediction)?;
@@ -156,26 +147,24 @@ impl RtpService {
         self.model.build_graph(city, courier, query)
     }
 
-    /// Inference Layer only, on this lane's pooled no-grad tape.
+    /// Inference Layer only, on this lane's no-grad tape.
     pub fn predict(&self, graph: &MultiLevelGraph) -> Prediction {
         let mut tape = self.lock_tape();
         self.model.predict_into(&mut tape, graph)
     }
 
     /// Inference Layer that also returns the sample's encoder
-    /// activations, on this lane's pooled tape — the serve cache's miss
-    /// path. It runs the graph as a batch of one through
-    /// [`M2G4Rtp::predict_batch_encoded_into`], which is bit-identical
-    /// to [`RtpService::predict`]; the activations let a repeat query
-    /// skip the encoders via [`RtpService::predict_encoded`].
+    /// activations, on this lane's tape — the serve cache's miss path.
+    /// It is the same forward as [`RtpService::predict`]
+    /// ([`M2G4Rtp::predict_and_encode_into`]); the activations let a
+    /// repeat query skip the encoders via [`RtpService::predict_encoded`].
     pub fn predict_and_encode(&self, graph: &MultiLevelGraph) -> (Prediction, EncodedQuery) {
         let mut tape = self.lock_tape();
-        let mut batch = self.model.predict_batch_encoded_into(&mut tape, &[graph]);
-        batch.pop().expect("one graph in, one prediction out")
+        self.model.predict_and_encode_into(&mut tape, graph)
     }
 
     /// Inference Layer replaying cached encoder activations on this
-    /// lane's pooled tape — the serve cache's hit path. Bit-identical
+    /// lane's tape — the serve cache's hit path. Bit-identical
     /// to [`RtpService::predict`] when `enc` came from the same
     /// (graph, weights); see [`M2G4Rtp::predict_encoded_into`].
     pub fn predict_encoded(&self, graph: &MultiLevelGraph, enc: &EncodedQuery) -> Prediction {
@@ -332,8 +321,6 @@ mod tests {
         assert_eq!(before.aoi_sequence, after.aoi_sequence);
         let bits = |v: &[EtaMessage]| v.iter().map(|e| e.eta_minutes.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&before.etas), bits(&after.etas), "recovery must not change numerics");
-        // pool_stats must not panic either
-        let _ = service.pool_stats();
     }
 
     #[test]
@@ -359,12 +346,12 @@ mod tests {
         let courier = &d.couriers[s.query.courier_id];
         let graph = service.build_graph(&d.city, courier, &s.query);
         let cold = service.predict(&graph);
-        let (batched_pred, enc) = service.predict_and_encode(&graph);
+        let (miss_pred, enc) = service.predict_and_encode(&graph);
         let hot = service.predict_encoded(&graph, &enc);
-        assert_eq!(cold.route, batched_pred.route);
+        assert_eq!(cold.route, miss_pred.route);
         assert_eq!(cold.route, hot.route);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&cold.times), bits(&batched_pred.times), "batched must match cold bits");
+        assert_eq!(bits(&cold.times), bits(&miss_pred.times), "miss path must match cold bits");
         assert_eq!(bits(&cold.times), bits(&hot.times), "cache replay must match cold bits");
     }
 

@@ -56,7 +56,7 @@ impl LevelGraph {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalFeatures {
     /// Continuous features: working hours, speed, attendance,
-    /// time-of-day ∈ [0,1].
+    /// time-of-day ∈ `[0,1]`.
     pub cont: Vec<f32>,
     /// Weather code (embedding id).
     pub weather: usize,

@@ -133,9 +133,9 @@ impl Dataset {
         serde_json::from_str(s)
     }
 
-    /// Checks every cross-reference in the dataset: courier and AOI ids
-    /// in range, ground-truth routes that are true permutations, and
-    /// aligned truth/query lengths. Generated datasets satisfy this by
+    /// Checks every cross-reference in the dataset: courier, weekday and
+    /// AOI ids in range ([`Dataset::check_query`]), ground-truth routes
+    /// that are true permutations, and aligned truth/query lengths. Generated datasets satisfy this by
     /// construction; loaders should call it on anything read from disk
     /// so a hand-edited or corrupted file fails with a message naming
     /// the offending sample instead of an index-out-of-bounds panic
@@ -153,19 +153,7 @@ impl Dataset {
         for (split, samples) in [("train", &self.train), ("val", &self.val), ("test", &self.test)] {
             for (i, s) in samples.iter().enumerate() {
                 let at = |what: &str| format!("{split} sample {i}: {what}");
-                if s.query.courier_id >= self.couriers.len() {
-                    return Err(at(&format!(
-                        "courier_id {} out of range (fleet has {})",
-                        s.query.courier_id,
-                        self.couriers.len()
-                    )));
-                }
-                if let Some(o) = s.query.orders.iter().find(|o| o.aoi_id >= n_aois) {
-                    return Err(at(&format!(
-                        "order references AOI {} but the city has {n_aois}",
-                        o.aoi_id
-                    )));
-                }
+                self.check_query(&s.query).map_err(|e| at(&e))?;
                 let n = s.query.num_locations();
                 if !is_permutation(&s.truth.route, n) {
                     return Err(at(&format!("route is not a permutation of the {n} locations")));
@@ -189,6 +177,33 @@ impl Dataset {
                     )));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Checks a query's ids against this dataset: the courier is in the
+    /// fleet, the weekday is 0–6, and every order's AOI is in the city.
+    /// `rtp serve` runs it on every request line and
+    /// [`Dataset::validate`] on every sample, so an out-of-range id is
+    /// an error naming the field, never a silently clamped embedding
+    /// or a panic deep inside graph construction.
+    pub fn check_query(&self, q: &RtpQuery) -> Result<(), String> {
+        if q.courier_id >= self.couriers.len() {
+            return Err(format!(
+                "unknown courier_id {} (dataset has {} couriers)",
+                q.courier_id,
+                self.couriers.len()
+            ));
+        }
+        if q.weekday > 6 {
+            return Err(format!("weekday {} out of range (0-6)", q.weekday));
+        }
+        let n_aois = self.city.aois.len();
+        if let Some((i, o)) = q.orders.iter().enumerate().find(|(_, o)| o.aoi_id >= n_aois) {
+            return Err(format!(
+                "orders[{i}].aoi_id: AOI {} is not in the city ({n_aois} AOIs)",
+                o.aoi_id
+            ));
         }
         Ok(())
     }
@@ -456,6 +471,11 @@ mod tests {
         d.test[2].query.orders[0].aoi_id = 100_000;
         let err = d.validate().unwrap_err();
         assert!(err.contains("test sample 2") && err.contains("AOI 100000"), "{err}");
+
+        let mut d = build();
+        d.val[0].query.weekday = 7;
+        let err = d.validate().unwrap_err();
+        assert!(err.contains("val sample 0") && err.contains("weekday 7"), "{err}");
 
         let mut d = build();
         d.train[3].truth.arrival.pop();

@@ -161,7 +161,7 @@ pub struct Courier {
     pub speed_kmh: f32,
     /// Average working hours per day (`x_T^g`).
     pub work_hours: f32,
-    /// Attendance rate over the last two months, in [0,1].
+    /// Attendance rate over the last two months, in `[0,1]`.
     pub attendance: f32,
     /// AOI ids this courier regularly serves. Habit only makes sense over
     /// a stable territory; real couriers own a fixed beat.

@@ -20,7 +20,7 @@
 //! * **Parameters live outside tapes** in a [`ParamStore`]. A forward pass
 //!   leases a parameter onto the tape with [`Tape::param`]; `backward`
 //!   accumulates the gradient back into the store, and an optimizer
-//!   ([`Adam`] / [`Sgd`]) steps the store. This gives mini-batch gradient
+//!   ([`optim::Adam`] / [`optim::Sgd`]) steps the store. This gives mini-batch gradient
 //!   accumulation across independent per-sample tapes for free.
 //! * **2-D everywhere.** Tensors are `[rows, cols]` row-major. The paper's
 //!   3-D edge tensors `E ∈ R^{n×n×d}` are stored as `[n*n, d]`, with

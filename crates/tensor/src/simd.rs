@@ -216,7 +216,7 @@ pub const QUANT_MIN_C: usize = 4;
 /// A weight matrix `B [k,c]` quantized symmetrically per output
 /// channel: column `j` is stored as i8 values in `[-127, 127]` with a
 /// f32 scale `s_j = max|B[:,j]| / 127`, laid out *transposed*
-/// (`qt[j][0..k]`, padded to [`Q_LANES`]) so the quantized dot reads
+/// (`qt[j][0..k]`, padded to `Q_LANES`) so the quantized dot reads
 /// both operands contiguously.
 ///
 /// The ±127 clamp (never −128) caps `|qa·qw| ≤ 127·127`, so the

@@ -15,12 +15,12 @@
 //! instead of copying, and backward can borrow one node's gradient
 //! mutably while reading another node's values — no cloning.
 //!
-//! [`Tape::clear`] moves every buffer into a free-list pool; the next
-//! forward pass pops from the pool instead of hitting the allocator.
-//! A tape reused via `clear()` across samples/epochs is allocation-free
-//! in steady state. [`Tape::inference`] builds a no-grad tape that
-//! skips gradient allocation and op-payload recording entirely;
-//! [`Tape::backward`] on such a tape panics.
+//! Every op allocates its output buffer directly, sized exactly, and
+//! [`Tape::clear`] drops every buffer. There is no free-list pool: one
+//! measured slower than fresh allocation and grew a long-lived serving
+//! tape's resident memory with every request. [`Tape::inference`]
+//! builds a no-grad tape that skips gradient allocation and op-payload
+//! recording entirely; [`Tape::backward`] on such a tape panics.
 
 use std::sync::Arc;
 
@@ -143,11 +143,7 @@ pub struct Tape {
     bufs: Vec<Vec<f32>>,
     /// One gradient buffer per node (grad mode only; empty otherwise).
     grads: Vec<Vec<f32>>,
-    /// Free list of recycled buffers, refilled by [`Tape::clear`].
-    pool: Vec<Vec<f32>>,
     grad_enabled: bool,
-    pool_hits: u64,
-    pool_misses: u64,
     /// Numerics tier (always [`Numerics::Exact`] on grad tapes).
     numerics: Numerics,
     /// Quantized parameter snapshots for [`Numerics::Quantized`].
@@ -166,10 +162,7 @@ impl Tape {
             nodes: Vec::new(),
             bufs: Vec::new(),
             grads: Vec::new(),
-            pool: Vec::new(),
             grad_enabled,
-            pool_hits: 0,
-            pool_misses: 0,
             numerics: Numerics::Exact,
             quant: None,
         }
@@ -238,64 +231,13 @@ impl Tape {
         self.grad_enabled
     }
 
-    /// Forgets all nodes but keeps every buffer in the free-list pool,
-    /// so the next forward pass on this tape reuses their allocations.
-    /// Reusing a cleared tape is bit-identical to using a fresh one.
-    ///
-    /// The pool is capped at the pass that just finished: one pass can
-    /// consume at most as many pooled buffers as it records, but it may
-    /// *record* more than it consumed — ops fed caller-built vectors
-    /// ([`Tape::constant`] and friends) push buffers that never came
-    /// from the pool. Without the cap those extras pile up as dead
-    /// weight behind the LIFO's working end — roughly one buffer set
-    /// per forward pass, which on a long-lived serving tape grew
-    /// resident memory by hundreds of kilobytes *per request* until a
-    /// model swap happened to rebuild the tape. The oldest (coldest)
-    /// buffers are dropped first; the warm tail keeps its capacities.
+    /// Forgets all nodes and drops their data and gradient buffers, so
+    /// a cleared tape holds no tensor memory. Reusing a cleared tape is
+    /// bit-identical to using a fresh one.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        let used = self.bufs.len() + self.grads.len();
-        self.pool.append(&mut self.bufs);
-        self.pool.append(&mut self.grads);
-        if self.pool.len() > used {
-            self.pool.drain(..self.pool.len() - used);
-        }
-    }
-
-    /// `(pool hits, pool misses)` — buffer requests served from the
-    /// free list vs. fresh heap allocations, over the tape's lifetime.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool_hits, self.pool_misses)
-    }
-
-    /// Number of buffers currently parked in the free-list pool.
-    /// Bounded by the last pass's buffer count (see [`Tape::clear`]);
-    /// a steadily growing value here is a leak.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Pops a recycled buffer from the pool (cleared, capacity kept)
-    /// or allocates an empty one.
-    fn alloc(&mut self) -> Vec<f32> {
-        match self.pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                self.pool_hits += 1;
-                v
-            }
-            None => {
-                self.pool_misses += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// A pooled buffer of `len` copies of `fill`.
-    fn alloc_filled(&mut self, len: usize, fill: f32) -> Vec<f32> {
-        let mut v = self.alloc();
-        v.resize(len, fill);
-        v
+        self.bufs.clear();
+        self.grads.clear();
     }
 
     fn push(&mut self, rows: usize, cols: usize, data: Vec<f32>, op: Op) -> TensorId {
@@ -312,8 +254,7 @@ impl Tape {
     fn push_view(&mut self, rows: usize, cols: usize, buf: u32, op: Op) -> TensorId {
         let id = TensorId(self.nodes.len() as u32);
         if self.grad_enabled {
-            let grad = self.alloc_filled(rows * cols, 0.0);
-            self.grads.push(grad);
+            self.grads.push(vec![0.0; rows * cols]);
             self.nodes.push(Node { rows, cols, buf, op });
         } else {
             let op = match op {
@@ -368,9 +309,7 @@ impl Tape {
 
     /// Records a `[1,1]` constant.
     pub fn scalar_const(&mut self, v: f32) -> TensorId {
-        let mut out = self.alloc();
-        out.push(v);
-        self.push(1, 1, out, Op::Leaf)
+        self.push(1, 1, vec![v], Op::Leaf)
     }
 
     /// Leases a parameter from `store` onto this tape. Gradients flowing
@@ -378,8 +317,7 @@ impl Tape {
     /// [`Tape::backward`].
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorId {
         let (rows, cols) = store.shape(id);
-        let mut out = self.alloc();
-        out.extend_from_slice(store.data(id));
+        let out = store.data(id).to_vec();
         self.push(rows, cols, out, Op::Param(id))
     }
 
@@ -395,7 +333,7 @@ impl Tape {
         let (ar, ak) = self.shape(a);
         let (bk, bc) = self.shape(b);
         assert_eq!(ak, bk, "matmul inner dim mismatch: [{ar},{ak}] x [{bk},{bc}]");
-        let mut out = self.alloc_filled(ar * bc, 0.0);
+        let mut out = vec![0.0; ar * bc];
         let qm = match (self.numerics, &self.nodes[b.idx()].op) {
             (Numerics::Quantized, &Op::Param(pid)) => {
                 self.quant.as_ref().and_then(|qs| qs.get(pid)).filter(|qm| qm.k == ak && qm.c == bc)
@@ -412,7 +350,7 @@ impl Tape {
     /// Transpose `[r,c] -> [c,r]`.
     pub fn transpose(&mut self, a: TensorId) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc_filled(r * c, 0.0);
+        let mut out = vec![0.0; r * c];
         let da = self.data(a);
         for i in 0..r {
             for j in 0..c {
@@ -442,7 +380,7 @@ impl Tape {
         sa
     }
 
-    /// Zips two same-shape tensors through `f` into a pooled buffer.
+    /// Zips two same-shape tensors through `f` into a new buffer.
     fn binary(
         &mut self,
         a: TensorId,
@@ -452,8 +390,7 @@ impl Tape {
         f: impl Fn(f32, f32) -> f32,
     ) -> TensorId {
         let (r, c) = self.binary_same_shape(a, b, name);
-        let mut out = self.alloc();
-        out.extend(self.data(a).iter().zip(self.data(b)).map(|(&x, &y)| f(x, y)));
+        let out = self.data(a).iter().zip(self.data(b)).map(|(&x, &y)| f(x, y)).collect();
         self.push(r, c, out, op)
     }
 
@@ -478,7 +415,7 @@ impl Tape {
         let (r, c) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!((br, bc), (1, c), "add_row expects [1,{c}], got [{br},{bc}]");
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(r * c);
         let da = self.data(a);
         let db = self.data(b);
         for i in 0..r {
@@ -494,7 +431,7 @@ impl Tape {
         let (r, c) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!((br, bc), (r, 1), "add_col expects [{r},1], got [{br},{bc}]");
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(r * c);
         let da = self.data(a);
         let db = self.data(b);
         for i in 0..r {
@@ -515,7 +452,7 @@ impl Tape {
         assert_eq!(bc, 1, "add_outer rhs must be a column vector");
         rtp_obs::counter!("tensor.op.add_outer.calls").inc();
         rtp_obs::counter!("tensor.op.add_outer.flops").add((r * c) as u64);
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(r * c);
         let da = self.data(a);
         let db = self.data(b);
         for &ai in da.iter().take(r) {
@@ -530,9 +467,8 @@ impl Tape {
     pub fn mul_scalar_t(&mut self, a: TensorId, s: TensorId) -> TensorId {
         let (r, c) = self.shape(a);
         assert_eq!(self.shape(s), (1, 1), "mul_scalar_t scale must be 1x1");
-        let mut out = self.alloc();
         let sv = self.data(s)[0];
-        out.extend(self.data(a).iter().map(|x| x * sv));
+        let out = self.data(a).iter().map(|x| x * sv).collect();
         self.push(r, c, out, Op::MulScalarT(a, s))
     }
 
@@ -542,7 +478,7 @@ impl Tape {
         let (r, c) = self.shape(a);
         let (br, bc) = self.shape(b);
         assert_eq!((br, bc), (1, c), "mul_row expects [1,{c}], got [{br},{bc}]");
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(r * c);
         let da = self.data(a);
         let db = self.data(b);
         for i in 0..r {
@@ -556,16 +492,14 @@ impl Tape {
     /// Multiplies by a compile-time constant.
     pub fn scale(&mut self, a: TensorId, k: f32) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
-        out.extend(self.data(a).iter().map(|x| x * k));
+        let out = self.data(a).iter().map(|x| x * k).collect();
         self.push(r, c, out, Op::Scale(a, k))
     }
 
     /// Adds a compile-time constant to every element.
     pub fn add_scalar(&mut self, a: TensorId, k: f32) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
-        out.extend(self.data(a).iter().map(|x| x + k));
+        let out = self.data(a).iter().map(|x| x + k).collect();
         self.push(r, c, out, Op::AddScalar(a))
     }
 
@@ -580,8 +514,7 @@ impl Tape {
 
     fn unary(&mut self, a: TensorId, op: Op, f: impl Fn(f32) -> f32) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
-        out.extend(self.data(a).iter().map(|&x| f(x)));
+        let out = self.data(a).iter().map(|&x| f(x)).collect();
         self.push(r, c, out, op)
     }
 
@@ -636,7 +569,7 @@ impl Tape {
                 pc
             })
             .sum();
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(r * total_c);
         for i in 0..r {
             for &p in parts {
                 let (_, pc) = self.shape(p);
@@ -660,7 +593,7 @@ impl Tape {
                 pr
             })
             .sum();
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(total_r * c);
         for &p in parts {
             out.extend_from_slice(self.data(p));
         }
@@ -675,7 +608,7 @@ impl Tape {
         rtp_obs::counter!("tensor.op.gather_rows.calls").inc();
         // read + write of every gathered row, in f32 bytes
         rtp_obs::counter!("tensor.op.gather_rows.bytes").add((2 * indices.len() * c * 4) as u64);
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(indices.len() * c);
         let da = self.data(a);
         for &i in indices {
             assert!(i < r, "gather_rows index {i} out of bounds for {r} rows");
@@ -693,7 +626,7 @@ impl Tape {
     /// Tiles the whole matrix `k` times vertically: `[r,c] -> [k*r,c]`.
     pub fn repeat_rows(&mut self, a: TensorId, k: usize) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(k * r * c);
         let da = self.data(a);
         for _ in 0..k {
             out.extend_from_slice(da);
@@ -704,7 +637,7 @@ impl Tape {
     /// Repeats each row `k` times consecutively: `[r,c] -> [r*k,c]`.
     pub fn repeat_interleave_rows(&mut self, a: TensorId, k: usize) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(r * k * c);
         let da = self.data(a);
         for i in 0..r {
             for _ in 0..k {
@@ -720,34 +653,30 @@ impl Tape {
 
     /// Sum of all elements -> `[1,1]`.
     pub fn sum_all(&mut self, a: TensorId) -> TensorId {
-        let mut out = self.alloc();
-        out.push(self.data(a).iter().sum());
+        let out = vec![self.data(a).iter().sum()];
         self.push(1, 1, out, Op::SumAll(a))
     }
 
     /// Mean of all elements -> `[1,1]`.
     pub fn mean_all(&mut self, a: TensorId) -> TensorId {
-        let mut out = self.alloc();
         let da = self.data(a);
-        out.push(da.iter().sum::<f32>() / da.len().max(1) as f32);
+        let out = vec![da.iter().sum::<f32>() / da.len().max(1) as f32];
         self.push(1, 1, out, Op::MeanAll(a))
     }
 
     /// Per-row sum: `[r,c] -> [r,1]`.
     pub fn row_sum(&mut self, a: TensorId) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
         let da = self.data(a);
-        out.extend((0..r).map(|i| da[i * c..(i + 1) * c].iter().sum::<f32>()));
+        let out = (0..r).map(|i| da[i * c..(i + 1) * c].iter().sum::<f32>()).collect();
         self.push(r, 1, out, Op::RowSum(a))
     }
 
     /// Per-row mean: `[r,c] -> [r,1]`.
     pub fn row_mean(&mut self, a: TensorId) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
         let da = self.data(a);
-        out.extend((0..r).map(|i| da[i * c..(i + 1) * c].iter().sum::<f32>() / c as f32));
+        let out = (0..r).map(|i| da[i * c..(i + 1) * c].iter().sum::<f32>() / c as f32).collect();
         self.push(r, 1, out, Op::RowMean(a))
     }
 
@@ -767,7 +696,7 @@ impl Tape {
         rtp_obs::counter!("tensor.op.masked_softmax_rows.calls").inc();
         // per element: max-scan, subtract, exp (~2 flop), sum, divide
         rtp_obs::counter!("tensor.op.masked_softmax_rows.flops").add((5 * r * c) as u64);
-        let mut out = self.alloc_filled(r * c, 0.0);
+        let mut out = vec![0.0; r * c];
         let da = self.data(a);
         for i in 0..r {
             softmax_row(
@@ -787,7 +716,7 @@ impl Tape {
     pub fn masked_log_softmax_rows(&mut self, a: TensorId, mask: &[bool]) -> TensorId {
         let (r, c) = self.shape(a);
         assert_eq!(mask.len(), r * c, "mask length mismatch");
-        let mut out = self.alloc_filled(r * c, f32::NEG_INFINITY);
+        let mut out = vec![f32::NEG_INFINITY; r * c];
         let da = self.data(a);
         for i in 0..r {
             log_softmax_row(
@@ -804,7 +733,7 @@ impl Tape {
     /// Picks elements `(row, col)` into a `[k,1]` column vector.
     pub fn pick_elements(&mut self, a: TensorId, coords: &[(usize, usize)]) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc();
+        let mut out = Vec::with_capacity(coords.len());
         let da = self.data(a);
         for &(i, j) in coords {
             assert!(i < r && j < c, "pick_elements ({i},{j}) out of bounds [{r},{c}]");
@@ -819,7 +748,7 @@ impl Tape {
     /// [`Tape::add_row`] on `[1,c]` parameters.
     pub fn layer_norm_rows(&mut self, a: TensorId, eps: f32) -> TensorId {
         let (r, c) = self.shape(a);
-        let mut out = self.alloc_filled(r * c, 0.0);
+        let mut out = vec![0.0; r * c];
         let da = self.data(a);
         for i in 0..r {
             let row = &da[i * c..(i + 1) * c];
@@ -880,7 +809,7 @@ impl Tape {
     }
 
     /// Like [`Tape::backward`], but accumulates parameter gradients
-    /// into any [`GradSink`] — a worker-local
+    /// into any [`crate::GradSink`] — a worker-local
     /// [`crate::GradBuffer`] in data-parallel training, or the
     /// [`ParamStore`] itself. The propagation itself is identical;
     /// only the destination of `Op::Param` gradients differs.
@@ -1551,7 +1480,7 @@ mod tests {
     }
 
     #[test]
-    fn cleared_tape_is_bit_identical_to_fresh_and_reuses_buffers() {
+    fn cleared_tape_is_bit_identical_to_fresh() {
         let mut store = ParamStore::new(11);
         let w = store.add_xavier("w", 3, 4);
         let b = store.add_zeros("b", 1, 4);
@@ -1581,61 +1510,32 @@ mod tests {
         let rb: Vec<u32> = reused.data(loss_r).iter().map(|x| x.to_bits()).collect();
         assert_eq!(fb, rb, "forward data must be bit-identical after clear()");
         assert_eq!(grads_fresh, grads_reused, "grads must be bit-identical after clear()");
-
-        // Steady state: rerunning the same program after clear() is
-        // served entirely from the pool — zero fresh allocations.
-        reused.clear();
-        let (_, misses_before) = reused.pool_stats();
-        let loss_r2 = sample_program(&mut reused, &store, w, b);
-        store.zero_grad();
-        reused.backward(loss_r2, &mut store);
-        let (hits_after, misses_after) = reused.pool_stats();
-        assert!(hits_after > 0, "cleared tape must serve buffers from the pool");
-        assert_eq!(misses_before, misses_after, "steady-state rerun must not hit the allocator");
     }
 
-    /// Regression: passes that feed the tape caller-built vectors
-    /// (`constant`) push buffers the pool never handed out. The pool
-    /// must not accumulate those across `clear()` cycles — unbounded
-    /// growth here was a per-request memory leak on long-lived serving
-    /// tapes (only a model hot-swap's tape rebuild ever freed it).
+    /// Regression: a long-lived serving tape once kept the buffers of
+    /// caller-built inputs (`constant`) across `clear()` and grew by
+    /// one pass's worth of memory per request. A cleared tape must hold
+    /// no data or gradient buffer at all.
     #[test]
-    fn pool_stays_bounded_across_passes_with_constant_inputs() {
+    fn clear_drops_every_data_and_gradient_buffer() {
         let mut store = ParamStore::new(11);
         let w = store.add_xavier("w", 6, 6);
-        let mut t = Tape::inference();
-        let mut high_water = 0usize;
-        for pass in 0..50 {
-            t.clear();
-            // Two caller-built buffers per pass, plus pooled op outputs.
+        let mut t = Tape::new();
+        for _ in 0..3 {
             let x = t.constant(4, 6, vec![0.25; 24]);
             let y = t.constant(4, 6, vec![1.75; 24]);
             let wp = t.param(&store, w);
             let h = t.matmul(x, wp);
             let s = t.add(h, y);
             let l = t.mean_all(s);
-            assert!(t.scalar(l).is_finite());
-            if pass == 1 {
-                // Bound set by one full pass: nodes + their buffers.
-                t.clear();
-                high_water = t.pool_len();
-            } else if pass > 1 {
-                assert!(
-                    t.pool_len() <= high_water,
-                    "pool grew past one pass's worth of buffers: {} > {high_water} (pass {pass})",
-                    t.pool_len(),
-                );
-            }
+            store.zero_grad();
+            t.backward(l, &mut store);
+            assert!(!t.bufs.is_empty() && !t.grads.is_empty());
+            t.clear();
+            assert!(t.is_empty(), "clear() must forget every node");
+            assert!(t.bufs.is_empty(), "clear() must drop every data buffer");
+            assert!(t.grads.is_empty(), "clear() must drop every gradient buffer");
         }
-        // Pooling still works: a warmed steady state stops allocating.
-        let misses_before = t.pool_stats().1;
-        t.clear();
-        let x = t.constant(4, 6, vec![0.5; 24]);
-        let wp = t.param(&store, w);
-        let h = t.matmul(x, wp);
-        let l = t.mean_all(h);
-        assert!(t.scalar(l).is_finite());
-        assert_eq!(t.pool_stats().1, misses_before, "warmed pool must still serve allocations");
     }
 
     #[test]

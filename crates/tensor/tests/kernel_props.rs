@@ -1,5 +1,5 @@
 //! Property-based equivalence checks for the blocked matmul kernels
-//! and the tape's buffer-pool reuse contract.
+//! and the tape's clear-and-reuse contract.
 //!
 //! The blocked/packed kernels in [`rtp_tensor::kernels`] are specified
 //! to perform **exactly** the same sequence of floating-point
@@ -220,7 +220,7 @@ proptest! {
 
         let mut reused = Tape::new();
         for _ in 0..warm_rounds {
-            // Warm the pool with a differently-shaped throwaway program.
+            // Run a differently-shaped throwaway program first.
             let junk = reused.constant(5, 7, vec![0.25; 35]);
             let jt = reused.transpose(junk);
             let _ = reused.matmul(junk, jt);
