@@ -23,7 +23,7 @@ use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
 use rtp_sim::{Dataset, RtpSample};
 use rtp_tensor::nn::{positional_encoding, Embedding, Linear, LstmCell, Mlp};
 use rtp_tensor::optim::{Adam, Optimizer};
-use rtp_tensor::parallel::{parallel_map_ordered_with, resolve_threads};
+use rtp_tensor::parallel::parallel_map_ordered;
 use rtp_tensor::{GradBuffer, ParamStore, Tape, TensorId};
 use serde::{Deserialize, Serialize};
 
@@ -438,12 +438,6 @@ impl DeepBaseline {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
 
-        // One tape per worker, reused (via `Tape::clear`) across every
-        // sample, batch and epoch of both training phases.
-        let workers =
-            resolve_threads(self.config.threads).min(self.config.batch_size.max(1)).max(1);
-        let mut worker_tapes: Vec<Tape> = (0..workers).map(|_| Tape::new()).collect();
-
         // ---------- phase 1: route ----------
         let route_phase_span = rtp_obs::span!("deep.route_phase");
         let mut opt = Adam::new(self.config.lr);
@@ -455,21 +449,16 @@ impl DeepBaseline {
             indices.shuffle(&mut rng);
             for batch in indices.chunks(self.config.batch_size) {
                 self.store.zero_grad();
-                let frozen = self.store.clone();
                 let this = &*self;
-                let shards = parallel_map_ordered_with(&mut worker_tapes, batch.len(), |t, k| {
+                let store = &this.store;
+                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
                     let i = batch[k];
-                    t.clear();
-                    let reps = this.encode(t, &frozen, &train_graphs[i]);
-                    let u = this.courier_repr(t, &frozen, &train_graphs[i]);
-                    let loss = this.route_dec.train_loss(
-                        t,
-                        &frozen,
-                        reps,
-                        u,
-                        &dataset.train[i].truth.route,
-                    );
-                    let mut buffer = GradBuffer::zeros_like(&frozen);
+                    let t = &mut Tape::new();
+                    let reps = this.encode(t, store, &train_graphs[i]);
+                    let u = this.courier_repr(t, store, &train_graphs[i]);
+                    let loss =
+                        this.route_dec.train_loss(t, store, reps, u, &dataset.train[i].truth.route);
+                    let mut buffer = GradBuffer::zeros_like(store);
                     t.backward_into(loss, &mut buffer);
                     buffer
                 });
@@ -510,21 +499,21 @@ impl DeepBaseline {
             indices.shuffle(&mut rng);
             for batch in indices.chunks(self.config.batch_size) {
                 self.store.zero_grad();
-                let frozen = self.store.clone();
                 let this = &*self;
-                let shards = parallel_map_ordered_with(&mut worker_tapes, batch.len(), |t, k| {
+                let store = &this.store;
+                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
                     let i = batch[k];
                     let g = &train_graphs[i];
-                    t.clear();
-                    let reps = this.encode(t, &frozen, g);
-                    let u = this.courier_repr(t, &frozen, g);
-                    let route = this.route_dec.decode(t, &frozen, reps, u);
-                    let pred = this.time_forward(t, &frozen, g, reps, &route);
+                    let t = &mut Tape::new();
+                    let reps = this.encode(t, store, g);
+                    let u = this.courier_repr(t, store, g);
+                    let route = this.route_dec.decode(t, store, reps, u);
+                    let pred = this.time_forward(t, store, g, reps, &route);
                     let target: Vec<f32> =
                         dataset.train[i].truth.arrival.iter().map(|&v| v / TIME_SCALE).collect();
                     let y = t.constant(target.len(), 1, target);
                     let loss = t.mae_loss(pred, y);
-                    let mut buffer = GradBuffer::zeros_like(&frozen);
+                    let mut buffer = GradBuffer::zeros_like(store);
                     t.backward_into(loss, &mut buffer);
                     buffer
                 });
@@ -566,15 +555,14 @@ impl DeepBaseline {
         if graphs.is_empty() {
             return 0.0;
         }
-        // Validation never needs gradients: one no-grad tape serves
-        // every sample.
-        let mut t = Tape::inference();
+        // Validation never needs gradients: a fresh no-grad tape per
+        // sample.
         let mut sum = 0.0f64;
         for (g, s) in graphs.iter().zip(samples) {
-            t.clear();
-            let reps = self.encode(&mut t, &self.store, g);
-            let u = self.courier_repr(&mut t, &self.store, g);
-            let route = self.route_dec.decode(&mut t, &self.store, reps, u);
+            let t = &mut Tape::inference();
+            let reps = self.encode(t, &self.store, g);
+            let u = self.courier_repr(t, &self.store, g);
+            let route = self.route_dec.decode(t, &self.store, reps, u);
             sum += rtp_metrics::krc(&route, &s.truth.route);
         }
         sum / graphs.len() as f64
@@ -583,10 +571,8 @@ impl DeepBaseline {
     fn mean_val_mae(&self, graphs: &[MultiLevelGraph], samples: &[RtpSample]) -> f64 {
         let mut sum = 0.0f64;
         let mut n = 0usize;
-        // One no-grad tape across the sweep.
-        let mut t = Tape::inference();
         for (g, s) in graphs.iter().zip(samples) {
-            let p = self.predict_graph_into(&mut t, g);
+            let p = self.predict_graph(g);
             for (pt, yt) in p.times.iter().zip(&s.truth.arrival) {
                 sum += (pt - yt).abs() as f64;
             }
@@ -598,14 +584,7 @@ impl DeepBaseline {
     /// Inference on a pre-built (scaled) graph. Runs on a no-grad tape:
     /// no gradient buffers, no op payloads.
     pub fn predict_graph(&self, g: &MultiLevelGraph) -> Prediction {
-        let mut t = Tape::inference();
-        self.predict_graph_into(&mut t, g)
-    }
-
-    /// Like [`DeepBaseline::predict_graph`] but reuses `t` (cleared
-    /// first), so a validation sweep holds one tape.
-    pub fn predict_graph_into(&self, t: &mut Tape, g: &MultiLevelGraph) -> Prediction {
-        t.clear();
+        let t = &mut Tape::inference();
         let reps = self.encode(t, &self.store, g);
         let u = self.courier_repr(t, &self.store, g);
         let route = self.route_dec.decode(t, &self.store, reps, u);
@@ -690,6 +669,30 @@ mod tests {
             .map(|id| m.store.data(id).to_vec())
             .collect();
         assert_eq!(route_params_before, route_params_after, "route params moved in phase 2");
+    }
+
+    /// `DeepConfig::threads` promises bit-identical results for every
+    /// setting: per-sample gradients are reduced in sample order, so
+    /// both phases must fit the same weights on 1, 2 and 4 threads.
+    #[test]
+    fn fit_is_bit_identical_across_thread_counts() {
+        let d = DatasetBuilder::new(DatasetConfig::tiny(103)).build();
+        let fit = |threads: usize| {
+            let mut m =
+                DeepBaseline::new(DeepKind::Fdnet, DeepConfig { threads, ..tiny_config(5) }, &d);
+            let untrained = m.store.snapshot();
+            m.fit(&d);
+            let bits = |w: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+                w.iter().map(|t| t.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            (bits(untrained), bits(m.store.snapshot()))
+        };
+        let (untrained, fitted1) = fit(1);
+        assert_ne!(untrained, fitted1, "fit must move the weights");
+        for threads in [2, 4] {
+            let (_, fitted_n) = fit(threads);
+            assert_eq!(fitted1, fitted_n, "fitted weights differ at {threads} threads");
+        }
     }
 
     #[test]

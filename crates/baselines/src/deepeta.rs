@@ -16,7 +16,7 @@ use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
 use rtp_sim::{Dataset, RtpSample};
 use rtp_tensor::nn::{Linear, Mlp};
 use rtp_tensor::optim::{Adam, Optimizer};
-use rtp_tensor::parallel::{parallel_map_ordered_with, resolve_threads};
+use rtp_tensor::parallel::parallel_map_ordered;
 use rtp_tensor::{GradBuffer, ParamStore, Tape, TensorId};
 use serde::{Deserialize, Serialize};
 
@@ -146,28 +146,22 @@ impl DeepEta {
         let mut best = f64::MAX;
         let mut best_snap = self.store.snapshot();
         let mut since = 0usize;
-        // Per-worker tapes reused across all samples and epochs, plus one
-        // no-grad tape for the validation sweep.
-        let workers =
-            resolve_threads(self.config.threads).min(self.config.batch_size.max(1)).max(1);
-        let mut worker_tapes: Vec<Tape> = (0..workers).map(|_| Tape::new()).collect();
-        let mut val_tape = Tape::inference();
         for epoch in 0..self.config.epochs {
             let _epoch_span = rtp_obs::span!("deepeta.epoch", epoch);
             indices.shuffle(&mut rng);
             for batch in indices.chunks(self.config.batch_size) {
                 self.store.zero_grad();
-                let frozen = self.store.clone();
                 let this = &*self;
-                let shards = parallel_map_ordered_with(&mut worker_tapes, batch.len(), |t, k| {
+                let store = &this.store;
+                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
                     let i = batch[k];
-                    t.clear();
-                    let pred = this.forward(t, &frozen, &train_graphs[i]);
+                    let t = &mut Tape::new();
+                    let pred = this.forward(t, store, &train_graphs[i]);
                     let target: Vec<f32> =
                         dataset.train[i].truth.arrival.iter().map(|&v| v / TIME_SCALE).collect();
                     let y = t.constant(target.len(), 1, target);
                     let loss = t.mae_loss(pred, y);
-                    let mut buffer = GradBuffer::zeros_like(&frozen);
+                    let mut buffer = GradBuffer::zeros_like(store);
                     t.backward_into(loss, &mut buffer);
                     buffer
                 });
@@ -182,9 +176,9 @@ impl DeepEta {
             let mut sum = 0.0f64;
             let mut nl = 0usize;
             for (g, s) in val_graphs.iter().zip(&dataset.val) {
-                val_tape.clear();
-                let pred = self.forward(&mut val_tape, &self.store, g);
-                for (p, y) in val_tape.data(pred).iter().zip(&s.truth.arrival) {
+                let t = &mut Tape::inference();
+                let pred = self.forward(t, &self.store, g);
+                for (p, y) in t.data(pred).iter().zip(&s.truth.arrival) {
                     sum += ((p * TIME_SCALE) - y).abs() as f64;
                 }
                 nl += s.truth.arrival.len();
@@ -255,6 +249,29 @@ mod tests {
             eta_err < const_err,
             "DeepETA ({eta_err:.1}) must beat the constant predictor ({const_err:.1})"
         );
+    }
+
+    /// `DeepEtaConfig::threads` promises bit-identical results for
+    /// every setting: the fitted weights must not depend on it.
+    #[test]
+    fn fit_is_bit_identical_across_thread_counts() {
+        let d = DatasetBuilder::new(DatasetConfig::tiny(163)).build();
+        let fit = |threads: usize| {
+            let mut m =
+                DeepEta::new(DeepEtaConfig { epochs: 2, threads, ..DeepEtaConfig::quick(2) }, &d);
+            let untrained = m.store.snapshot();
+            m.fit(&d);
+            let bits = |w: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+                w.iter().map(|t| t.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            (bits(untrained), bits(m.store.snapshot()))
+        };
+        let (untrained, fitted1) = fit(1);
+        assert_ne!(untrained, fitted1, "fit must move the weights");
+        for threads in [2, 4] {
+            let (_, fitted_n) = fit(threads);
+            assert_eq!(fitted1, fitted_n, "fitted weights differ at {threads} threads");
+        }
     }
 
     #[test]

@@ -162,7 +162,9 @@ fn query_lines(dataset: &Dataset) -> Vec<String> {
         .collect()
 }
 
-/// Warms every worker's tape pool before the timed window.
+/// Sends the first four query lines before the timed window, so the
+/// timed requests do not pay first-request costs (the lazily built
+/// quantized snapshot, the first encoder-cache entries).
 fn warm_server(addr: &str, lines: &[String]) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).unwrap();

@@ -7,7 +7,7 @@
 //! * `simulator` — world generation, behaviour simulation and graph
 //!   construction throughput.
 //! * `tensor_kernels` — matmul kernel sweep, masked-softmax and
-//!   LSTM-step timings, tape reuse and the per-op profile.
+//!   LSTM-step timings and the per-op profile.
 //! * `training_throughput`, `serve_throughput`, `obs_overhead` —
 //!   end-to-end training and serving rates and the telemetry cost.
 //!

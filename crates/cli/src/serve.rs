@@ -22,14 +22,13 @@
 //! an operator's `reload` line included — is bounded by the quanta
 //! already queued ahead of it.
 //!
-//! Each worker owns its **own** [`RtpService`] per shard — one
-//! no-grad tape per (worker, shard) lane — over shared read-only
-//! `Arc<M2G4Rtp>`s, so inference never contends on a global mutex and
-//! per-worker tape reuse cannot change numerics (cleared-tape reuse is
-//! bit-identical to a fresh tape). Replies on one connection keep
-//! request order: a per-connection claim lets at most one worker drain
-//! a connection's line queue at a time, and the claim travels with the
-//! connection through the run queue.
+//! Every prediction runs its forward on a no-grad tape of its own,
+//! built for the request and dropped with it, over the shard's shared
+//! read-only `Arc<M2G4Rtp>`: inference never contends on a global
+//! mutex, and nothing one request computes outlives it. Replies on one
+//! connection keep request order: a per-connection claim lets at most
+//! one worker drain a connection's line queue at a time, and the claim
+//! travels with the connection through the run queue.
 //!
 //! # Shard router (`--model [NAME=]PATH`, repeatable)
 //!
@@ -52,22 +51,25 @@
 //! worker that received the command), then performs a blue-green swap —
 //! the shard's current `(version, Arc<M2G4Rtp>)` pair is replaced under
 //! a mutex while every other worker keeps serving, and in-flight
-//! requests finish on the weights they started with (their worker's
-//! lane holds the old generation's `Arc`). Every ok prediction is
-//! tagged with the `model_version` that produced it, so a client can
-//! watch the served model advance. A server started with `--model` *paths* also installs
-//! a SIGHUP handler: the signal re-reads every shard's original path
-//! through the same swap (the classic config-reload idiom).
+//! requests finish on the weights they started with (each holds the
+//! generation's `Arc` it took when its prediction began). Every ok
+//! prediction is tagged with the `model_version` that produced it, so a
+//! client can watch the served model advance. A server started with
+//! `--model` *paths* also installs a SIGHUP handler: the signal
+//! re-reads every shard's original path through the same swap (the
+//! classic config-reload idiom).
 //!
 //! Swap correctness around cached state:
 //!
+//! * a prediction takes its shard's `(version, Arc<M2G4Rtp>)` pair
+//!   once, as one unit, and computes every byte of its reply from that
+//!   generation, so the version tag always names the weights that
+//!   answered;
 //! * encoder-cache entries are keyed by model version as well as
 //!   courier + fingerprint; the swap drains the shard's cache (counted
 //!   under `serve.cache.invalidations`), and a concurrent miss that
 //!   raced the swap refuses to install its now-stale activations — no
-//!   post-swap reply is ever computed from pre-swap encoder state;
-//! * worker lanes rebuild their per-shard [`RtpService`] lazily on the
-//!   first request that observes a newer version.
+//!   post-swap reply is ever computed from pre-swap encoder state.
 //!
 //! A reload whose SavedModel mismatches the running shard (different
 //! architecture dims, vocab sizes, missing pipeline, different weight
@@ -80,12 +82,12 @@
 //!
 //! # Encoder cache
 //!
-//! Every prediction runs on the worker that read its line, on that
-//! worker's lane. Each shard keeps a per-courier **encoder cache** keyed
-//! by courier id and fingerprinted by the full request line:
+//! Every prediction runs on the worker that read its line. Each shard
+//! keeps a per-courier **encoder cache** keyed by courier id and
+//! fingerprinted by the full request line:
 //!
-//! * a miss builds the graph and runs the full forward on the lane's
-//!   tape ([`M2G4Rtp::predict_and_encode_into`]), which also yields the
+//! * a miss builds the graph and runs the full forward on a fresh tape
+//!   ([`M2G4Rtp::predict_and_encode_into`]), which also yields the
 //!   sample's encoder activations; they are installed in the cache;
 //! * a repeat query (same courier, byte-identical line — i.e. identical
 //!   route state) skips feature extraction and the whole encoder stack:
@@ -110,8 +112,9 @@
 //!   that connection and increments `serve.conn_errors`;
 //! * a panic inside request handling is caught (`catch_unwind` around
 //!   `handle_line`), answers a best-effort error line, drops only
-//!   that connection and increments `serve.panics`; the worker's tape
-//!   mutex recovers by swapping in a fresh tape;
+//!   that connection and increments `serve.panics`; the panicked
+//!   request's tape unwinds with it, and the next request builds its
+//!   own;
 //! * a client idle longer than `--idle-timeout-secs` is reaped by the
 //!   reactor's timer wheel (`serve.timeouts`);
 //! * a request line longer than [`crate::evented::MAX_LINE_BYTES`]
@@ -175,7 +178,7 @@
 //! request line on it gets a u64 trace id (consecutive for pipelined
 //! requests on one connection). Per-stage durations land in the
 //! `serve.stage.{forward,write}_us` histograms for **every**
-//! prediction (traced or not): `forward` is the lane's forward
+//! prediction (traced or not): `forward` is the model forward
 //! (cache-hit replay or full miss forward) and `write` the reply
 //! construction. A client that sends `"trace": true` in its query
 //! additionally gets `trace_id` and a `stages` breakdown echoed in the
@@ -208,19 +211,18 @@
 //! `write_atomic`, turning the catch_unwind sites into post-mortems;
 //! `{"cmd":"dump"}` returns the same events in-band.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use m2g4rtp::{EncodedQuery, M2G4Rtp, Prediction, SavedModel};
 
 use crate::evented::{self, EvConn, EventSink};
-use rtp_eval::service::{apply_prediction, RtpService};
+use rtp_eval::service::apply_prediction;
 use rtp_graph::MultiLevelGraph;
 use rtp_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 use rtp_obs::{flight, StageBreakdown, TraceCtx};
@@ -487,11 +489,6 @@ struct ShardState {
     /// the old generation lives until its last in-flight request
     /// drops it).
     current: Mutex<(u64, Arc<M2G4Rtp>)>,
-    /// Lock-free mirror of the current version for the staleness
-    /// checks on the hot path (cache lookups, lane refresh). Stored
-    /// *inside* the `current` critical section, so it never runs ahead
-    /// of the model it describes.
-    version: AtomicU64,
     /// The SavedModel path this shard was loaded from, when the caller
     /// had one (`rtp serve --model`); SIGHUP re-reads it through the
     /// same swap as the in-band `reload` verb.
@@ -516,17 +513,11 @@ impl ShardState {
         Self {
             name,
             current: Mutex::new((1, Arc::new(model))),
-            version: AtomicU64::new(1),
             path,
             cache: Mutex::new(HashMap::new()),
             requests,
             errors,
         }
-    }
-
-    /// The serving version, without touching the generation mutex.
-    fn version(&self) -> u64 {
-        self.version.load(Ordering::SeqCst)
     }
 
     /// Clones out the current `(version, model)` pair as one unit.
@@ -686,78 +677,15 @@ impl ServerShared {
     }
 }
 
-/// One worker's private inference lane for one shard: its own
-/// [`RtpService`] (its own no-grad tape) over the shard's model. Every
-/// prediction of this worker for this shard — cache hit or miss — runs
-/// here. The service sits behind a `RefCell` so a hot-swap can rebuild
-/// it in place; the lane is worker-thread-local, and every borrow drops
-/// before the request's reply is written (so a caught panic cannot
-/// leave a borrow flag set — guards unwind like any other local).
-struct ShardLane {
-    service: RefCell<RtpService>,
-    /// Model generation the service was built over; compared against
-    /// the shard's current version on every request.
-    version: Cell<u64>,
-}
-
-/// One worker's view of the server: a private inference lane per shard
-/// plus the shared state.
+/// One worker's view of the server: the shared state plus its own
+/// reply counter.
 struct WorkerCtx<'a> {
-    /// Indexed like `shared.shards`; lane 0 serves the default shard.
-    lanes: Vec<ShardLane>,
     dataset: &'a Dataset,
     shared: &'a ServerShared,
-    /// Numerics tier for lane (re)builds after a hot-swap.
+    /// Numerics tier every prediction's tape runs under.
     numerics: Numerics,
     /// Replies written by this worker (`serve.worker.<i>.requests`).
     replies: Arc<Counter>,
-}
-
-impl WorkerCtx<'_> {
-    /// Builds one worker's lanes (a service per shard).
-    fn new<'a>(
-        worker_id: usize,
-        dataset: &'a Dataset,
-        shared: &'a ServerShared,
-        numerics: Numerics,
-    ) -> WorkerCtx<'a> {
-        let lanes = shared
-            .shards
-            .iter()
-            .map(|shard| {
-                let (version, model) = shard.generation();
-                ShardLane {
-                    service: RefCell::new(RtpService::with_numerics(model, numerics)),
-                    version: Cell::new(version),
-                }
-            })
-            .collect();
-        WorkerCtx {
-            lanes,
-            dataset,
-            shared,
-            numerics,
-            replies: shared.registry.counter(&format!("serve.worker.{worker_id}.requests")),
-        }
-    }
-
-    /// Ensures this worker's lane for `shard_idx` serves the shard's
-    /// current generation, rebuilding the lane's service after a
-    /// hot-swap; returns the version of the model the lane now holds,
-    /// which the caller predicts with (and tags the reply with). The
-    /// `(version, model)` pair is captured atomically, so the tag always
-    /// names the weights actually used — a swap landing a microsecond
-    /// later leaves this request on the old generation, which is
-    /// exactly blue-green semantics.
-    fn refresh_lane(&self, shard_idx: usize) -> u64 {
-        let lane = &self.lanes[shard_idx];
-        if lane.version.get() != self.shared.shards[shard_idx].version() {
-            let (version, model) = self.shared.shards[shard_idx].generation();
-            *lane.service.borrow_mut() = RtpService::with_numerics(model, self.numerics);
-            lane.version.set(version);
-        }
-        lane.version.get()
-    }
 }
 
 /// The worker pool's only input: one FIFO of connections with queued
@@ -935,7 +863,12 @@ pub fn serve_sharded(
             let dataset = &dataset;
             let numerics = opts.numerics;
             scope.spawn(move || {
-                let ctx = WorkerCtx::new(worker_id, dataset, shared, numerics);
+                let ctx = WorkerCtx {
+                    dataset,
+                    shared,
+                    numerics,
+                    replies: shared.registry.counter(&format!("serve.worker.{worker_id}.requests")),
+                };
                 while let Some(conn) = queue.next() {
                     drain_evented_conn(&ctx, &conn, queue);
                 }
@@ -1124,14 +1057,12 @@ fn reload_shard(
             return Err(e);
         }
     };
-    // The swap: version mirror updated inside the critical section so
-    // a hot-path staleness check can never observe a version ahead of
-    // the model it describes.
+    // The swap: version and model replaced as one unit, so a reader
+    // never pairs a version with the wrong weights.
     let version = {
         let mut cur = shard.current.lock().unwrap_or_else(|p| p.into_inner());
         let version = cur.0 + 1;
         *cur = (version, model);
-        shard.version.store(version, Ordering::SeqCst);
         version
     };
     // Drain the shard's encoder cache *after* the version advanced:
@@ -1204,8 +1135,8 @@ fn drain_evented_conn(ctx: &WorkerCtx<'_>, conn: &Arc<EvConn>, queue: &RunQueue)
             next_trace_id(ctx.shared, &mut trace)
         };
         // Fault isolation: a panic anywhere in parse/predict/serialize
-        // must not unwind through the worker loop (the lane's tape
-        // mutex is poison-recovered by RtpService on the next request).
+        // must not unwind through the worker loop. The request's tape
+        // unwinds with it; the next request builds its own.
         let reply = catch_unwind(AssertUnwindSafe(|| handle_line(ctx, line, trace_id)));
         match reply {
             Ok(Reply::Line(mut body, stages)) => {
@@ -1465,8 +1396,7 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             metrics.requests.inc();
             shard.requests.inc();
             metrics.stage_forward_us.record(stages.forward_us);
-            let numerics = ctx.lanes[shard_idx].service.borrow().numerics();
-            match numerics {
+            match ctx.numerics {
                 Numerics::Exact => metrics.req_exact.inc(),
                 Numerics::Quantized => metrics.req_quantized.inc(),
             }
@@ -1499,7 +1429,7 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             // "model_version":V,"a":..): field order is free in JSON.
             // Quantized replies also carry a tier tag so a client can
             // tell approximate answers apart.
-            let tier_tag = match numerics {
+            let tier_tag = match ctx.numerics {
                 Numerics::Exact => "",
                 Numerics::Quantized => ",\"numerics\":\"quantized\"",
             };
@@ -1515,8 +1445,8 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
     }
 }
 
-/// The Inference (+ Feature Extraction) Layer for one query, on this
-/// worker's lane for the shard:
+/// The Inference (+ Feature Extraction) Layer for one query, on the
+/// shard's current model and a no-grad tape of its own:
 ///
 /// * cache hit (same courier, byte-identical line, same model
 ///   generation) — replay the cached encoder activations through the
@@ -1528,7 +1458,7 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
 /// Both routes produce bit-identical predictions; see the module docs.
 ///
 /// Alongside the prediction, returns the request's [`StageBreakdown`]
-/// with `forward_us` (the lane's forward, graph build excluded) filled
+/// with `forward_us` (the model forward, graph build excluded) filled
 /// in, and the model version that produced it.
 fn predict_query(
     ctx: &WorkerCtx<'_>,
@@ -1539,11 +1469,11 @@ fn predict_query(
 ) -> (Prediction, StageBreakdown, u64) {
     let shared = ctx.shared;
     let metrics = &shared.metrics;
-    // Rebuild this worker's lane first if a hot-swap advanced the
-    // shard; `version` names the generation every byte of this reply
-    // is computed from (and tagged with).
-    let version = ctx.refresh_lane(shard_idx);
-    let service = ctx.lanes[shard_idx].service.borrow();
+    let shard = &shared.shards[shard_idx];
+    // `version` names the generation every byte of this reply is
+    // computed from (and tagged with): a swap landing a microsecond
+    // later leaves this request on the old weights (blue-green).
+    let (version, model) = shard.generation();
     let mut stages = StageBreakdown::default();
     // A cache entry is valid only when both the request line *and* the
     // model generation match: a byte-identical line after a swap must
@@ -1556,22 +1486,29 @@ fn predict_query(
     if let Some(entry) = cached {
         metrics.cache_hits.inc();
         shared.refresh_cache_rate();
+        // The tape is a temporary: built, used and dropped inside the
+        // timed forward.
         let t0 = Instant::now();
-        let prediction = service.predict_encoded(&entry.graph, &entry.enc);
+        let prediction = model.predict_encoded_into(
+            &mut model.inference_tape(ctx.numerics),
+            &entry.graph,
+            &entry.enc,
+        );
         stages.forward_us = t0.elapsed().as_micros() as u64;
         return (prediction, stages, version);
     }
     metrics.cache_misses.inc();
     shared.refresh_cache_rate();
-    let graph = service.build_graph(&ctx.dataset.city, courier, query);
+    let graph = model.build_graph(&ctx.dataset.city, courier, query);
     let t0 = Instant::now();
-    let (prediction, enc) = service.predict_and_encode(&graph);
+    let (prediction, enc) =
+        model.predict_and_encode_into(&mut model.inference_tape(ctx.numerics), &graph);
     stages.forward_us = t0.elapsed().as_micros() as u64;
     // Install the activations — unless a swap advanced the shard while
     // this request was in flight, in which case they are already stale
     // and must not land (a later lookup filters on version anyway, but
     // refusing the insert keeps the cache free of dead weight).
-    if shared.shards[shard_idx].version() == version {
+    if shard.generation().0 == version {
         let entry = Arc::new(CacheEntry { fingerprint: line.to_string(), version, graph, enc });
         if let Some(old) = shared.lock_cache(shard_idx).insert(query.courier_id, entry) {
             // Same-fingerprint same-version replacement is a

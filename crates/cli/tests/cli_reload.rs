@@ -14,7 +14,8 @@ use common::{
     strip_version, trained_model, Client,
 };
 use m2g4rtp::{M2G4Rtp, ModelConfig, TrainConfig, Trainer};
-use rtp_cli::serve::{ServeOptions, ShardSpec};
+use rtp_cli::serve::{ServeOptions, ServeResponse, ShardSpec};
+use rtp_eval::service::{apply_prediction, RtpService};
 use rtp_sim::Dataset;
 
 /// A second model on the same dataset that predicts differently from
@@ -51,15 +52,16 @@ fn reload_line(path: &str) -> String {
 }
 
 /// The server shape of the reload tests: two workers, so a swap lands
-/// while another lane keeps serving, and in-band shutdown.
+/// while another worker keeps serving, and in-band shutdown.
 fn reload_opts() -> ServeOptions {
     ServeOptions { allow_shutdown: true, workers: 2, ..Default::default() }
 }
 
 /// A reload must advance the version tag on every subsequent reply,
 /// actually serve the new weights (even for queries whose encoder
-/// activations were cached under the old generation), and count its
-/// cache invalidations.
+/// activations were cached under the old generation) — every post-swap
+/// reply, cache miss and hit alike, equals the new model run
+/// in-process, ETAs bit for bit — and count its cache invalidations.
 #[test]
 fn reload_advances_version_and_serves_the_new_weights() {
     let (dataset, model_a) = trained_model(61);
@@ -90,13 +92,30 @@ fn reload_advances_version_and_serves_the_new_weights() {
     assert_eq!(reply_version(&ack), 2, "first swap lands version 2: {ack}");
 
     // Every post-swap reply is tagged with the new version, and the
-    // swapped-in weights answer — not version-1 cache entries.
+    // swapped-in weights answer — not version-1 cache entries. The
+    // oracle loads the same file the server swapped in.
+    let oracle = RtpService::new(M2G4Rtp::from_saved(
+        serde_json::from_str(&std::fs::read_to_string(&path_b).unwrap()).expect("parse model B"),
+    ));
+    let bits = |etas: &[f32]| etas.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
     let mut changed = 0;
     for (k, old_body) in before.iter().enumerate() {
-        let reply = client.round_trip(&query_line(&dataset, k));
-        assert_eq!(reply_version(&reply), 2, "post-swap reply: {reply}");
-        if strip_version(&strip_latency(&reply)) != *old_body {
-            changed += 1;
+        let query = &dataset.test[k].query;
+        let graph = oracle.build_graph(&dataset.city, &dataset.couriers[query.courier_id], query);
+        let want = apply_prediction(query, &oracle.predict(&graph)).expect("prediction fits");
+        let want_etas: Vec<f32> = want.etas.iter().map(|e| e.eta_minutes).collect();
+        // The first send misses the drained cache; the repeat replays
+        // the activations cached under version 2.
+        for _ in 0..2 {
+            let reply = client.round_trip(&query_line(&dataset, k));
+            assert_eq!(reply_version(&reply), 2, "post-swap reply: {reply}");
+            let got: ServeResponse = serde_json::from_str(&reply).expect("reply parses");
+            assert_eq!(got.sorted_orders, want.sorted_orders, "query {k}: {reply}");
+            assert_eq!(got.aoi_sequence, want.aoi_sequence, "query {k}: {reply}");
+            assert_eq!(bits(&got.eta_minutes), bits(&want_etas), "query {k}: {reply}");
+            if strip_version(&strip_latency(&reply)) != *old_body {
+                changed += 1;
+            }
         }
     }
     assert!(changed > 0, "differently-seeded weights must answer at least one query differently");

@@ -277,8 +277,8 @@ fn idle_connections_are_reaped() {
 /// and one request panicking, the server stays up, later requests on
 /// fresh connections succeed, the shutdown summary reports the
 /// failures — and the N-worker server's predictions are byte-identical
-/// to the single-worker path for the same queries (per-worker tapes
-/// must not change numerics).
+/// to the single-worker path for the same queries (which worker ran a
+/// prediction must not change its numerics).
 #[test]
 fn fault_isolation_and_multi_worker_determinism() {
     let (dataset, model) = trained_model(179);
@@ -359,7 +359,7 @@ fn fault_isolation_and_multi_worker_determinism() {
 
 /// Concurrent cache hits and misses on a multi-worker server: four
 /// pipelining clients send the same lines, so each line is a miss on
-/// whichever lane serves it first and a hit for later ones. Every reply
+/// whichever worker serves it first and a hit for later ones. Every reply
 /// must be byte-identical (modulo the latency field) to a single-worker
 /// reference server running on its own copy of the same weights.
 #[test]

@@ -474,9 +474,7 @@ impl M2G4Rtp {
 
     /// Greedy joint inference on a pre-built (scaled) graph.
     ///
-    /// Runs on a fresh no-grad tape; callers answering many queries
-    /// can hold one [`Tape::inference`] tape and use
-    /// [`M2G4Rtp::predict_into`].
+    /// Runs on a fresh no-grad tape that is dropped on return.
     pub fn predict(&self, g: &MultiLevelGraph) -> Prediction {
         self.predict_into(&mut Tape::inference(), g)
     }

@@ -4,9 +4,10 @@
 //! "two-step" ablation.
 //!
 //! Mini-batches are **data-parallel**: each sample's forward/backward
-//! runs on a worker thread against the epoch-frozen weights, producing
-//! a private [`GradBuffer`]; buffers are then reduced into the
-//! [`rtp_tensor::ParamStore`] in sample-index order and Adam steps
+//! runs on a worker thread, on a tape of its own, reading the model's
+//! weights (nothing writes them until the batch's reduction) and
+//! producing a private [`GradBuffer`]; buffers are then reduced into
+//! the [`rtp_tensor::ParamStore`] in sample-index order and Adam steps
 //! once. Because the reduction order is fixed, the training trajectory
 //! is bit-identical for any [`TrainConfig::threads`] setting.
 
@@ -17,7 +18,7 @@ use rayon::prelude::*;
 use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
 use rtp_sim::Dataset;
 use rtp_tensor::optim::{Adam, Optimizer};
-use rtp_tensor::parallel::{parallel_map_ordered_with, resolve_threads};
+use rtp_tensor::parallel::parallel_map_ordered;
 use rtp_tensor::{GradBuffer, Tape};
 use serde::{Deserialize, Serialize};
 
@@ -268,10 +269,6 @@ impl Trainer {
                 }
             }
         }
-        // One tape per worker, reused (via `clear()`) across every
-        // sample of every epoch.
-        let workers = resolve_threads(self.config.threads).min(self.config.batch_size.max(1));
-        let mut worker_tapes: Vec<Tape> = (0..workers.max(1)).map(|_| Tape::new()).collect();
         for epoch in start_epoch..self.config.epochs {
             let _epoch_span = rtp_obs::span!("train.epoch", epoch);
             indices.shuffle(&mut rng);
@@ -292,34 +289,34 @@ impl Trainer {
             let loop_start = std::time::Instant::now();
             for batch in indices.chunks(self.config.batch_size) {
                 model.store.zero_grad();
-                let frozen_store = model.store.clone();
                 // Data-parallel shard: each sample runs forward/backward
-                // on a worker thread against the frozen weights, into a
-                // private gradient buffer.
+                // on a worker thread and a tape of its own, reading the
+                // weights, into a private gradient buffer. The store is
+                // only written after the fan-out returns.
                 let model_ref: &M2G4Rtp = model;
-                let shards =
-                    parallel_map_ordered_with(&mut worker_tapes, batch.len(), |tape, k| {
-                        let i = batch[k];
-                        tape.clear();
-                        let lt = model_ref.forward_train(
-                            tape,
-                            &frozen_store,
-                            &train_graphs[i],
-                            &dataset.train[i].truth,
-                        );
-                        let objective = if warming_up {
-                            lt.route_total
-                        } else if !two_step {
-                            lt.total
-                        } else if phase_b {
-                            lt.time_total
-                        } else {
-                            lt.route_total
-                        };
-                        let mut buffer = GradBuffer::zeros_like(&frozen_store);
-                        tape.backward_into(objective, &mut buffer);
-                        (buffer, lt.scalars.total)
-                    });
+                let store = &model_ref.store;
+                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
+                    let i = batch[k];
+                    let mut tape = Tape::new();
+                    let lt = model_ref.forward_train(
+                        &mut tape,
+                        store,
+                        &train_graphs[i],
+                        &dataset.train[i].truth,
+                    );
+                    let objective = if warming_up {
+                        lt.route_total
+                    } else if !two_step {
+                        lt.total
+                    } else if phase_b {
+                        lt.time_total
+                    } else {
+                        lt.route_total
+                    };
+                    let mut buffer = GradBuffer::zeros_like(store);
+                    tape.backward_into(objective, &mut buffer);
+                    (buffer, lt.scalars.total)
+                });
                 // Fixed, index-ordered reduction: identical float
                 // operation sequence no matter how many workers ran.
                 for (buffer, sample_loss) in &shards {
@@ -455,14 +452,13 @@ fn validate(
     if graphs.is_empty() {
         return (0.0, 0.0);
     }
-    // One sample at a time on one no-grad tape: stacking samples
-    // through the encoders measured no faster.
+    // One sample at a time, each on a fresh no-grad tape: stacking
+    // samples through the encoders measured no faster.
     let mut krc_sum = 0.0;
     let mut mae_sum = 0.0;
     let mut n_locs = 0usize;
-    let mut tape = Tape::inference();
     for (g, s) in graphs.iter().zip(samples) {
-        let p = model.predict_into(&mut tape, g);
+        let p = model.predict(g);
         krc_sum += rtp_metrics::krc(&p.route, &s.truth.route);
         for (pt, yt) in p.times.iter().zip(&s.truth.arrival) {
             mae_sum += (*pt - *yt).abs() as f64;

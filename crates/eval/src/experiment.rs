@@ -9,9 +9,7 @@ use rtp_metrics::{
     Bucket, RouteMetricAccumulator, RouteMetrics, TimeMetricAccumulator, TimeMetrics,
 };
 use rtp_sim::{Dataset, DatasetBuilder, DatasetConfig, RtpSample};
-use rtp_tensor::Tape;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// Display name of the trained M²G4RTP predictor in the zoo.
 pub const M2GPREDICTOR_NAME: &str = "M2G4RTP";
@@ -91,32 +89,12 @@ pub struct M2gPredictor {
     /// The trained model.
     pub model: M2G4Rtp,
     name: &'static str,
-    /// No-grad tape every test query runs on (cleared first).
-    tape: Mutex<Tape>,
 }
 
 impl M2gPredictor {
     /// Wraps a trained model under a display name.
     pub fn new(model: M2G4Rtp, name: &'static str) -> Self {
-        Self { model, name, tape: Mutex::new(Tape::inference()) }
-    }
-
-    /// Locks the tape, recovering from poison. A panic in another
-    /// evaluation thread poisons the mutex, but no state crosses
-    /// predictions on the tape, so the recovery (clear the poison, swap
-    /// in a fresh inference tape) is bit-identical to the unpoisoned
-    /// path. Without this, one panicked prediction would cascade into
-    /// failing the whole evaluation run.
-    fn lock_tape(&self) -> std::sync::MutexGuard<'_, Tape> {
-        match self.tape.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.tape.clear_poison();
-                let mut guard = poisoned.into_inner();
-                *guard = Tape::inference();
-                guard
-            }
-        }
+        Self { model, name }
     }
 }
 
@@ -126,10 +104,7 @@ impl Baseline for M2gPredictor {
     }
 
     fn predict(&self, dataset: &Dataset, sample: &RtpSample) -> Prediction {
-        let courier = &dataset.couriers[sample.query.courier_id];
-        let g = self.model.build_graph(&dataset.city, courier, &sample.query);
-        let mut tape = self.lock_tape();
-        self.model.predict_into(&mut tape, &g)
+        self.model.predict_sample(dataset, sample)
     }
 }
 
@@ -266,38 +241,6 @@ mod tests {
         assert!(rows < 4_000, "row cap grossly exceeded: {rows}");
         // untouched splits
         assert_eq!(capped.test.len(), d.test.len());
-    }
-
-    #[test]
-    fn poisoned_predictor_tape_recovers_with_identical_numerics() {
-        // Regression: predict() used `.expect("inference tape
-        // poisoned")`, so one panicked evaluation thread turned every
-        // later prediction into a cascade of panics.
-        let d = DatasetBuilder::new(DatasetConfig::tiny(31)).build();
-        let mut cfg = ModelConfig::for_dataset(&d);
-        cfg.d_loc = 16;
-        cfg.d_aoi = 16;
-        cfg.n_heads = 2;
-        cfg.n_layers = 1;
-        let mut model = M2G4Rtp::new(cfg, 8);
-        let tc = TrainConfig { epochs: 1, verbose: false, ..TrainConfig::quick() };
-        Trainer::new(tc).fit(&mut model, &d);
-        let predictor = M2gPredictor::new(model, "test");
-        let s = &d.test[0];
-        let before = predictor.predict(&d, s);
-
-        // Poison the tape mutex the way a panicking worker would.
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = predictor.tape.lock().unwrap();
-            panic!("simulated mid-prediction panic");
-        }));
-        assert!(poison.is_err());
-        assert!(predictor.tape.is_poisoned(), "lock must actually be poisoned");
-
-        let after = predictor.predict(&d, s);
-        assert_eq!(before.route, after.route);
-        let bits = |p: &Prediction| p.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&before), bits(&after), "recovery must not change numerics");
     }
 
     #[test]

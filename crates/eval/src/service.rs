@@ -5,18 +5,14 @@
 //! launched products — Intelligent Order Sorting for couriers and
 //! Minute-Level ETA push messages for users.
 //!
-//! One [`RtpService`] is a *single inference lane*: it shares the model
-//! read-only (via `Arc`, so a worker pool clones the handle, not the
-//! weights) and owns one no-grad [`Tape`]. The serve layer builds one
-//! service per worker thread, so concurrent requests never contend on a
-//! tape mutex.
+//! Every request runs its own forward pass on a fresh no-grad tape over
+//! the one trained model, so concurrent callers share nothing but the
+//! read-only weights.
 
-use m2g4rtp::{EncodedQuery, M2G4Rtp, Prediction};
+use m2g4rtp::{M2G4Rtp, Prediction};
 use rtp_graph::MultiLevelGraph;
 use rtp_sim::{City, Courier, RtpQuery};
-use rtp_tensor::{Numerics, Tape};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An ETA push message of the Minute-Level ETA service (Fig. 8b).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,12 +44,7 @@ pub struct ServiceResponse {
 
 /// The in-process RTP inference service.
 pub struct RtpService {
-    model: Arc<M2G4Rtp>,
-    /// Numerics tier every prediction of this lane runs under
-    /// (exact by default; quantized is a serve-time opt-in).
-    numerics: Numerics,
-    /// No-grad tape every request of this lane runs on (cleared first).
-    tape: Mutex<Tape>,
+    model: M2G4Rtp,
 }
 
 impl RtpService {
@@ -63,60 +54,8 @@ impl RtpService {
     /// # Panics
     /// Panics if the model has no pipeline.
     pub fn new(model: M2G4Rtp) -> Self {
-        Self::shared(Arc::new(model))
-    }
-
-    /// Wraps an already-shared trained model — the worker-pool
-    /// constructor: every worker gets its own service (own tape), all
-    /// reading the same weights.
-    ///
-    /// # Panics
-    /// Panics if the model has no pipeline.
-    pub fn shared(model: Arc<M2G4Rtp>) -> Self {
-        Self::with_numerics(model, Numerics::Exact)
-    }
-
-    /// Like [`RtpService::shared`], but running the given numerics
-    /// tier: every prediction of this lane uses the corresponding
-    /// inference tape (for `Quantized`, with the parameter snapshot
-    /// the model caches on first use).
-    ///
-    /// # Panics
-    /// Panics if the model has no pipeline.
-    pub fn with_numerics(model: Arc<M2G4Rtp>, numerics: Numerics) -> Self {
         assert!(model.has_pipeline(), "service needs a trained model with a pipeline");
-        let tape = Mutex::new(model.inference_tape(numerics));
-        Self { model, numerics, tape }
-    }
-
-    /// The numerics tier this lane serves under.
-    pub fn numerics(&self) -> Numerics {
-        self.numerics
-    }
-
-    /// Locks the inference tape, recovering from poisoning: if a
-    /// previous request panicked mid-prediction the tape's node list
-    /// may be in an arbitrary state, but correctness never depends on
-    /// the tape's history (cleared-tape reuse is bit-identical to a
-    /// fresh tape) — so we swap in a fresh no-grad tape and keep serving
-    /// instead of dying on `.expect("poisoned")` for every later
-    /// request.
-    fn lock_tape(&self) -> MutexGuard<'_, Tape> {
-        match self.tape.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.tape.clear_poison();
-                rtp_obs::flight::record(
-                    rtp_obs::flight::Kind::Recovery,
-                    "service.tape_poison",
-                    0,
-                    || "poisoned inference tape replaced with a fresh no-grad tape".to_string(),
-                );
-                let mut guard = poisoned.into_inner();
-                *guard = self.model.inference_tape(self.numerics);
-                guard
-            }
-        }
+        Self { model }
     }
 
     /// Handles one RTP request end to end.
@@ -133,7 +72,7 @@ impl RtpService {
         let t0 = std::time::Instant::now();
         // Feature Extraction Layer
         let graph = self.build_graph(city, courier, query);
-        // Inference Layer — this lane's no-grad tape
+        // Inference Layer
         let prediction = self.predict(&graph);
         // Application Layer
         let app = apply_prediction(query, &prediction)?;
@@ -141,35 +80,14 @@ impl RtpService {
     }
 
     /// Feature Extraction Layer only: query → scaled multi-level graph.
-    /// Split out so the serve layer can keep the graph in its encoder
-    /// cache and skip feature extraction on a repeat query.
     pub fn build_graph(&self, city: &City, courier: &Courier, query: &RtpQuery) -> MultiLevelGraph {
         self.model.build_graph(city, courier, query)
     }
 
-    /// Inference Layer only, on this lane's no-grad tape.
+    /// Inference Layer only, on a fresh no-grad tape
+    /// ([`M2G4Rtp::predict`]).
     pub fn predict(&self, graph: &MultiLevelGraph) -> Prediction {
-        let mut tape = self.lock_tape();
-        self.model.predict_into(&mut tape, graph)
-    }
-
-    /// Inference Layer that also returns the sample's encoder
-    /// activations, on this lane's tape — the serve cache's miss path.
-    /// It is the same forward as [`RtpService::predict`]
-    /// ([`M2G4Rtp::predict_and_encode_into`]); the activations let a
-    /// repeat query skip the encoders via [`RtpService::predict_encoded`].
-    pub fn predict_and_encode(&self, graph: &MultiLevelGraph) -> (Prediction, EncodedQuery) {
-        let mut tape = self.lock_tape();
-        self.model.predict_and_encode_into(&mut tape, graph)
-    }
-
-    /// Inference Layer replaying cached encoder activations on this
-    /// lane's tape — the serve cache's hit path. Bit-identical
-    /// to [`RtpService::predict`] when `enc` came from the same
-    /// (graph, weights); see [`M2G4Rtp::predict_encoded_into`].
-    pub fn predict_encoded(&self, graph: &MultiLevelGraph, enc: &EncodedQuery) -> Prediction {
-        let mut tape = self.lock_tape();
-        self.model.predict_encoded_into(&mut tape, graph, enc)
+        self.model.predict(graph)
     }
 }
 
@@ -296,63 +214,6 @@ mod tests {
             assert!(!seen[i]);
             seen[i] = true;
         }
-    }
-
-    #[test]
-    fn poisoned_tape_recovers_instead_of_dying_forever() {
-        let (d, model) = trained(122);
-        let service = RtpService::new(model);
-        let s = &d.test[0];
-        let courier = &d.couriers[s.query.courier_id];
-        let before = service.handle(&d.city, courier, &s.query).expect("aligned prediction");
-
-        // Poison the tape mutex the way a panicking handler would:
-        // panic while holding the lock.
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = service.tape.lock().unwrap();
-            panic!("simulated mid-prediction panic");
-        }));
-        assert!(poison.is_err());
-        assert!(service.tape.is_poisoned(), "lock must actually be poisoned");
-
-        // Every later request must still be served — and identically.
-        let after = service.handle(&d.city, courier, &s.query).expect("aligned prediction");
-        assert_eq!(before.sorted_orders, after.sorted_orders);
-        assert_eq!(before.aoi_sequence, after.aoi_sequence);
-        let bits = |v: &[EtaMessage]| v.iter().map(|e| e.eta_minutes.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&before.etas), bits(&after.etas), "recovery must not change numerics");
-    }
-
-    #[test]
-    fn per_worker_services_share_weights_and_agree() {
-        let (d, model) = trained(123);
-        let model = Arc::new(model);
-        let a = RtpService::shared(Arc::clone(&model));
-        let b = RtpService::shared(model);
-        let s = &d.test[0];
-        let courier = &d.couriers[s.query.courier_id];
-        let ra = a.handle(&d.city, courier, &s.query).expect("aligned prediction");
-        let rb = b.handle(&d.city, courier, &s.query).expect("aligned prediction");
-        assert_eq!(ra.sorted_orders, rb.sorted_orders);
-        let bits = |v: &[EtaMessage]| v.iter().map(|e| e.eta_minutes.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&ra.etas), bits(&rb.etas), "separate tapes must not change numerics");
-    }
-
-    #[test]
-    fn cached_encoder_replay_matches_cold_service_path() {
-        let (d, model) = trained(124);
-        let service = RtpService::new(model);
-        let s = &d.test[0];
-        let courier = &d.couriers[s.query.courier_id];
-        let graph = service.build_graph(&d.city, courier, &s.query);
-        let cold = service.predict(&graph);
-        let (miss_pred, enc) = service.predict_and_encode(&graph);
-        let hot = service.predict_encoded(&graph, &enc);
-        assert_eq!(cold.route, miss_pred.route);
-        assert_eq!(cold.route, hot.route);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&cold.times), bits(&miss_pred.times), "miss path must match cold bits");
-        assert_eq!(bits(&cold.times), bits(&hot.times), "cache replay must match cold bits");
     }
 
     fn query_with_orders(d: &Dataset, n: usize) -> RtpQuery {

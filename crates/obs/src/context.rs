@@ -80,7 +80,7 @@ impl TraceCtx {
 
 /// Per-stage durations (microseconds) of one served request.
 ///
-/// * `forward_us` — the model forward on the worker's lane (a full
+/// * `forward_us` — the model forward on the request's own tape (a full
 ///   forward on an encoder-cache miss, the decoder replay on a hit);
 /// * `write_us` — reply serialization (in the echoed breakdown; the
 ///   `serve.stage.write_us` histogram additionally includes the socket

@@ -36,8 +36,6 @@ pub enum Kind {
     Epoch,
     /// A served request (recorded at reply time with its trace id).
     Request,
-    /// Recovery from a poisoned lock.
-    Recovery,
     /// A model hot-swap (a serve-side reload or an online-loop push).
     Reload,
 }
@@ -51,7 +49,6 @@ impl Kind {
             Kind::Panic => "panic",
             Kind::Epoch => "epoch",
             Kind::Request => "request",
-            Kind::Recovery => "recovery",
             Kind::Reload => "reload",
         }
     }

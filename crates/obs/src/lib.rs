@@ -28,7 +28,7 @@
 //!   checker used by tests and CI.
 //! * [`flight`] — the crash flight recorder: a fixed ring of recent
 //!   events per thread ([`flight::record`]), dumped as JSONL on worker
-//!   panic, poison recovery, or `{"cmd":"dump"}`
+//!   panic or `{"cmd":"dump"}`
 //!   ([`flight::dump_to_file`]).
 //!
 //! ## Determinism contract

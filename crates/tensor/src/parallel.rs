@@ -7,6 +7,10 @@
 //! an index-ordered [`crate::ParamStore::accumulate`] reduction, this
 //! makes training results bit-identical for any thread count.
 //!
+//! Workers carry no state from one job to the next: a trainer's job
+//! builds its own [`crate::Tape`] and drops it on return, so which
+//! worker ran which index cannot show in the results.
+//!
 //! Work is distributed by an atomic next-index counter (work stealing
 //! in the limit of one-item granularity), so unevenly sized samples —
 //! routes vary in length — still balance across workers.
@@ -25,7 +29,8 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Computes `f(0..n)` on up to `threads` worker threads (`0` = all
-/// cores) and returns the outputs ordered by index.
+/// cores) and returns the outputs ordered by index. With one worker the
+/// jobs run sequentially on the caller's thread.
 ///
 /// `f` runs concurrently and must be `Sync`; a panic in any worker
 /// propagates after the remaining workers drain.
@@ -35,38 +40,14 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let workers = resolve_threads(threads).min(n.max(1));
-    let mut states = vec![(); workers];
-    parallel_map_ordered_with(&mut states, n, |(), i| f(i))
-}
-
-/// Like [`parallel_map_ordered`], but each worker thread owns one
-/// mutable state from `states` for the duration of the run — the hook
-/// for reusing a [`crate::Tape`] (or any scratch buffer) per worker
-/// across samples without `Mutex` traffic. The number of workers is
-/// `states.len()` (capped at `n`); with a single state the jobs run
-/// sequentially on the caller's thread.
-///
-/// Results are returned in index order, so determinism is unaffected
-/// by which worker (and which state) computed which index — provided
-/// `f`'s output does not depend on the state's history, which is what
-/// `Tape::clear()`'s bit-identical-reuse contract guarantees.
-pub fn parallel_map_ordered_with<S, R, F>(states: &mut [S], n: usize, f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    assert!(!states.is_empty(), "parallel_map_ordered_with needs at least one worker state");
-    let workers = states.len().min(n.max(1));
     if workers <= 1 {
-        let state = &mut states[0];
-        return (0..n).map(|i| f(state, i)).collect();
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(usize, R)>();
-        for state in states.iter_mut().take(workers) {
+        for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
             let f = &f;
@@ -75,7 +56,7 @@ where
                 if i >= n {
                     break;
                 }
-                if tx.send((i, f(state, i))).is_err() {
+                if tx.send((i, f(i))).is_err() {
                     break;
                 }
             });
@@ -112,20 +93,6 @@ mod tests {
     fn handles_empty_and_single_jobs() {
         assert_eq!(parallel_map_ordered(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_map_ordered(1, 4, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn stateful_map_is_index_ordered_and_touches_all_states() {
-        let expect: Vec<usize> = (0..100).map(|i| i * 3).collect();
-        for workers in [1, 2, 4] {
-            let mut states = vec![0usize; workers];
-            let got = parallel_map_ordered_with(&mut states, 100, |s, i| {
-                *s += 1;
-                i * 3
-            });
-            assert_eq!(got, expect, "workers={workers}");
-            assert_eq!(states.iter().sum::<usize>(), 100, "every job must tick one state");
-        }
     }
 
     #[test]

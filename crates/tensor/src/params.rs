@@ -4,6 +4,11 @@
 //! rather than on the [`crate::Tape`]. Gradients are accumulated into the
 //! store by `Tape::backward`, which makes multi-sample (mini-batch)
 //! gradient accumulation trivial: run several tapes, then step once.
+//!
+//! Data-parallel trainers read one store from many tapes at once (one
+//! per sample, on several threads) and collect each sample's gradients
+//! in a private [`GradBuffer`]; the store is written only when those
+//! buffers are reduced in sample order, after the fan-out returns.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,9 +35,6 @@ struct ParamEntry {
 
 /// Owns every learnable tensor of a model, together with its gradient
 /// accumulator and an RNG used for initialisation.
-///
-/// `Clone` is cheap relative to training cost and gives data-parallel
-/// trainers a private copy per worker whose gradients are merged back.
 #[derive(Debug, Clone)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
@@ -162,21 +164,6 @@ impl ParamStore {
     /// primitive used by two-phase ("two-step" ablation) training.
     pub fn zero_grad_of(&mut self, id: ParamId) {
         self.entries[id.index()].grad.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    /// Merges the gradients accumulated in `other` (a clone of this
-    /// store) into this store's accumulators.
-    ///
-    /// # Panics
-    /// Panics if the stores have different layouts.
-    pub fn merge_grads_from(&mut self, other: &ParamStore) {
-        assert_eq!(self.entries.len(), other.entries.len(), "store layout mismatch");
-        for (e, o) in self.entries.iter_mut().zip(&other.entries) {
-            debug_assert_eq!(e.grad.len(), o.grad.len());
-            for (g, og) in e.grad.iter_mut().zip(&o.grad) {
-                *g += og;
-            }
-        }
     }
 
     /// Scales every gradient by `factor` (used to average accumulated

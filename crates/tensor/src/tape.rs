@@ -207,15 +207,6 @@ impl Tape {
         self.quant = Some(quant);
     }
 
-    /// Creates an empty tape with room for `cap` nodes (hot loops).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut t = Self::new();
-        t.nodes.reserve(cap);
-        t.bufs.reserve(cap);
-        t.grads.reserve(cap);
-        t
-    }
-
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
         self.nodes.len()

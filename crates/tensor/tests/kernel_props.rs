@@ -190,7 +190,8 @@ proptest! {
 
     /// A tape cleared and reused for a program must produce bitwise the
     /// same forward data and parameter gradients as a fresh tape — the
-    /// contract that lets workers keep one tape across samples/epochs.
+    /// contract behind the model's `*_into` entry points, which clear a
+    /// caller's tape before each pass.
     #[test]
     fn cleared_tape_reuse_is_bit_identical_to_fresh(
         w in prop::collection::vec(-2.0f32..2.0, 12),
