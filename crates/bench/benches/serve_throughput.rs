@@ -1,17 +1,13 @@
 //! Serve-layer throughput: requests/s of the NDJSON TCP server at 1
-//! worker vs all-core workers with concurrent closed-loop clients, in
-//! the exact tier and the `--numerics quantized` tier at each worker
-//! count, so the latency win of approximate inference is a recorded
-//! number, not a claim.
+//! worker vs all-core workers with concurrent closed-loop clients.
 //!
 //! Each arm starts a real server on an ephemeral port, drives it with
 //! `CLIENTS` threads doing request/reply round trips, and reads
 //! p50/p99 handle latency plus the encoder-cache hit rate from the
 //! in-band `{"cmd":"stats"}` snapshot (the same histogram the
 //! `latency_ms` response field feeds). Every arm serves the *same*
-//! trained weights (one training run, replayed via `SavedModel`), so
-//! tier-to-tier deltas are pure numerics effects. Writes
-//! `results/serve_throughput.json`.
+//! trained weights (one training run, replayed via `SavedModel`).
+//! Writes `results/serve_throughput.json`.
 //!
 //! The client workload repeats one query line per distinct courier, so
 //! every arm exercises the serve path the way a courier app does: a
@@ -45,7 +41,6 @@ use rtp_bench::{bench_dataset, bench_meta_json, bench_model};
 use rtp_cli::serve::{serve, ServeOptions, StatsReply};
 use rtp_sim::Dataset;
 use rtp_tensor::parallel::resolve_threads;
-use rtp_tensor::Numerics;
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 50;
@@ -64,7 +59,6 @@ const SWAP_SEGMENTS: usize = 8;
 
 struct Row {
     workers: usize,
-    numerics: Numerics,
     requests: usize,
     requests_per_sec: f64,
     p50_us: u64,
@@ -131,13 +125,12 @@ impl Write for AddrSink {
 /// Starts a server thread and returns its bound address and handle.
 fn start_server(
     workers: usize,
-    numerics: Numerics,
     model: M2G4Rtp,
     dataset: &Dataset,
 ) -> (String, std::thread::JoinHandle<()>) {
     let (addr_tx, addr_rx) = channel::<String>();
     let ds = dataset.clone();
-    let opts = ServeOptions { workers, allow_shutdown: true, numerics, ..Default::default() };
+    let opts = ServeOptions { workers, allow_shutdown: true, ..Default::default() };
     let server = std::thread::spawn(move || {
         let mut sink = AddrSink(addr_tx, Vec::new());
         serve(model, ds, opts, &mut sink).expect("server runs");
@@ -163,8 +156,8 @@ fn query_lines(dataset: &Dataset) -> Vec<String> {
 }
 
 /// Sends the first four query lines before the timed window, so the
-/// timed requests do not pay first-request costs (the lazily built
-/// quantized snapshot, the first encoder-cache entries).
+/// timed requests do not pay first-request costs (the first
+/// encoder-cache entries).
 fn warm_server(addr: &str, lines: &[String]) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).unwrap();
@@ -194,14 +187,8 @@ fn stats_and_stop(addr: &str) -> (u64, u64, f64) {
     (lat.p50, lat.p99, cache_hit_rate)
 }
 
-fn measure(
-    workers: usize,
-    numerics: Numerics,
-    model: M2G4Rtp,
-    dataset: &Dataset,
-    idle_conns: usize,
-) -> Row {
-    let (addr, server) = start_server(workers, numerics, model, dataset);
+fn measure(workers: usize, model: M2G4Rtp, dataset: &Dataset, idle_conns: usize) -> Row {
+    let (addr, server) = start_server(workers, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
 
@@ -243,7 +230,6 @@ fn measure(
     let requests = CLIENTS * REQUESTS_PER_CLIENT;
     Row {
         workers,
-        numerics,
         requests,
         requests_per_sec: requests as f64 / elapsed,
         p50_us,
@@ -270,7 +256,7 @@ fn measure_swap_pair(
     dataset: &Dataset,
     reload_path: &str,
 ) -> (Row, Row) {
-    let (addr, server) = start_server(workers, Numerics::Exact, model, dataset);
+    let (addr, server) = start_server(workers, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
 
@@ -338,7 +324,6 @@ fn measure_swap_pair(
 
     let row = |(requests, seconds): (u64, f64), reloads: usize| Row {
         workers,
-        numerics: Numerics::Exact,
         requests: requests as usize,
         requests_per_sec: requests as f64 / seconds,
         // One shared window: the latency/cache stats describe the pair
@@ -357,8 +342,8 @@ fn main() {
     let swap_only = std::env::args().any(|a| a == "--swap-only");
     let cores = resolve_threads(0);
     let dataset = bench_dataset();
-    // One training run shared by every arm: the tier columns then
-    // differ only in kernel numerics, never in weights.
+    // One training run shared by every arm, so no two arms differ in
+    // weights.
     let saved = bench_model(&dataset).to_saved();
     let load = || M2G4Rtp::from_saved(saved.clone());
     // The swap arm reloads the very same weights from disk: an
@@ -379,38 +364,22 @@ fn main() {
         settings.clear();
     }
 
-    // Each worker count gets an exact arm and a quantized arm; both
-    // serve through the encoder cache, so the tier delta is what the
-    // numerics cost on the same traffic.
+    // One arm per worker count, serving through the encoder cache.
     let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, req/s relative to its twin arm)
     for &w in &settings {
-        let exact = measure(w, Numerics::Exact, load(), &dataset, 0);
-        let quant = measure(w, Numerics::Quantized, load(), &dataset, 0);
-        let base = exact.requests_per_sec;
+        let row = measure(w, load(), &dataset, 0);
         println!(
-            "workers {:>2} {:>9}: {:>8.1} req/s  (cache hit rate {:.1}%, p50 {:.3} ms, p99 {:.3} ms)",
-            exact.workers,
-            exact.numerics.as_str(),
-            exact.requests_per_sec,
-            exact.cache_hit_rate * 100.0,
-            exact.p50_us as f64 / 1000.0,
-            exact.p99_us as f64 / 1000.0
+            "workers {:>2}: {:>8.1} req/s  (cache hit rate {:.1}%, p50 {:.3} ms, p99 {:.3} ms)",
+            row.workers,
+            row.requests_per_sec,
+            row.cache_hit_rate * 100.0,
+            row.p50_us as f64 / 1000.0,
+            row.p99_us as f64 / 1000.0
         );
-        println!(
-            "workers {:>2} {:>9}: {:>8.1} req/s  ({:.2}x vs exact, p50 {:.3} ms, p99 {:.3} ms)",
-            quant.workers,
-            quant.numerics.as_str(),
-            quant.requests_per_sec,
-            quant.requests_per_sec / base,
-            quant.p50_us as f64 / 1000.0,
-            quant.p99_us as f64 / 1000.0
-        );
-        let quant_speedup = quant.requests_per_sec / base;
-        rows.push((exact, 1.0));
-        rows.push((quant, quant_speedup));
+        rows.push((row, 1.0));
     }
 
-    // Idle-connection soak: the 1-worker exact arm, measured
+    // Idle-connection soak: the 1-worker arm, measured
     // back-to-back with and without 1k+ parked idle sockets. The pair
     // is the honest before/after — the ratio is the throughput cost of
     // an idle herd on the epoll front end (contract: ~none), and
@@ -419,8 +388,8 @@ fn main() {
     // constrained runner soaks what it can instead of dying on EMFILE.
     if !swap_only {
         let soak_n = ((max_open_files().saturating_sub(256)) / 2).min(1500);
-        let soak_base = measure(1, Numerics::Exact, load(), &dataset, 0);
-        let soak = measure(1, Numerics::Exact, load(), &dataset, soak_n);
+        let soak_base = measure(1, load(), &dataset, 0);
+        let soak = measure(1, load(), &dataset, soak_n);
         println!(
             "idle soak: {:>8.1} req/s with {} idle conns vs {:>8.1} req/s with none ({:.2}x, {} extra thread(s))",
             soak.requests_per_sec,
@@ -434,7 +403,7 @@ fn main() {
         rows.push((soak, soak_ratio));
     }
 
-    // Hot-swap pair: the all-core exact configuration (the deployed
+    // Hot-swap pair: the all-core configuration (the deployed
     // shape) under interleaved quiet/swap segments. The intra-window
     // ratio is what `perf_gate swap` enforces — a production swap
     // cadence must be near-invisible to the hot path.
@@ -453,9 +422,8 @@ fn main() {
         .iter()
         .map(|(r, ratio_vs_twin)| {
             format!(
-                "    {{\"workers\": {}, \"numerics\": \"{}\", \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"ratio_vs_twin\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
+                "    {{\"workers\": {}, \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"ratio_vs_twin\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
                 r.workers,
-                r.numerics.as_str(),
                 r.requests,
                 r.requests_per_sec,
                 r.requests_per_sec / base,

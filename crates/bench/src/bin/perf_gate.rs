@@ -70,21 +70,16 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 /// Flattens one bench result into `metric name -> value`. Names are
-/// stable across runs (keyed by n / threads / workers+numerics),
-/// so history lines and the baseline are directly comparable.
+/// stable across runs (keyed by n / threads / workers), so history
+/// lines and the baseline are directly comparable.
 fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
     let mut m = BTreeMap::new();
     match bench {
         "tensor_kernels" => {
             for row in v.get("matmul_sweep").and_then(Value::as_array).unwrap_or_default() {
                 if let Some(n) = get_u64(row, "n") {
-                    for key in [
-                        "naive_gflops",
-                        "blocked_gflops",
-                        "grad_a_gflops",
-                        "grad_b_gflops",
-                        "q8_gflops",
-                    ] {
+                    for key in ["naive_gflops", "blocked_gflops", "grad_a_gflops", "grad_b_gflops"]
+                    {
                         if let Some(x) = get_num(row, key) {
                             m.insert(format!("matmul.n{n}.{key}"), x);
                         }
@@ -106,13 +101,12 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
                 let Some(w) = get_u64(row, "workers") else {
                     continue;
                 };
-                let numerics =
-                    row.get("numerics").and_then(Value::as_str).unwrap_or("exact").to_string();
-                // The swap arm measures the same (workers, numerics)
-                // point as a plain arm — suffix its tag so the two
-                // don't collide in the history/baseline.
+                // The swap arm measures the same worker count as a
+                // plain arm — suffix its tag so the two don't collide in
+                // the history/baseline. `.exact` names the one numerics
+                // tier, keeping the keys of earlier multi-tier runs.
                 let reload = if get_u64(row, "reloads").unwrap_or(0) > 0 { ".reload" } else { "" };
-                let tag = format!("w{w}.{numerics}{reload}");
+                let tag = format!("w{w}.exact{reload}");
                 for key in ["requests_per_sec", "p50_us", "p99_us"] {
                     if let Some(x) = get_num(row, key) {
                         m.insert(format!("{tag}.{key}"), x);
@@ -293,15 +287,9 @@ fn headline(bench: &str) -> Vec<&'static str> {
             "matmul.n128.blocked_gflops",
             "matmul.n128.grad_a_gflops",
             "matmul.n128.grad_b_gflops",
-            "matmul.n128.q8_gflops",
         ],
         "training_throughput" => vec!["threads1.samples_per_sec", "threads2.samples_per_sec"],
-        "serve_throughput" => vec![
-            "w1.exact.requests_per_sec",
-            "w1.quantized.requests_per_sec",
-            "w1.exact.p50_us",
-            "w1.quantized.p50_us",
-        ],
+        "serve_throughput" => vec!["w1.exact.requests_per_sec", "w1.exact.p50_us"],
         _ => vec![],
     }
 }

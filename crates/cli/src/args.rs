@@ -60,8 +60,6 @@ pub enum Command {
         model: String,
         /// Dataset JSON path.
         dataset: String,
-        /// Numerics tier: "exact" or "quantized".
-        numerics: String,
     },
     /// Serve one or more model shards over TCP (newline-delimited
     /// JSON).
@@ -84,8 +82,6 @@ pub enum Command {
         idle_timeout_secs: u64,
         /// Honour in-band `{"cmd":"shutdown"}` requests.
         allow_shutdown: bool,
-        /// Numerics tier: "exact" or "quantized".
-        numerics: String,
         /// Periodic Prometheus snapshot path (empty = off).
         metrics_file: String,
         /// Snapshot period for `metrics_file`, seconds (0 = 5 s default).
@@ -143,11 +139,10 @@ USAGE:
   rtp train    --dataset <dataset.json> [--epochs N] [--variant V] [--seed N] [--threads N] [--log-json spans.jsonl]
                [--checkpoint-dir DIR] [--resume] --out <model.json>
   rtp predict  --model <model.json> --dataset <dataset.json> --sample <idx> [--beam W]
-  rtp evaluate --model <model.json> --dataset <dataset.json> [--numerics exact|quantized]
+  rtp evaluate --model <model.json> --dataset <dataset.json>
   rtp serve    --model <model.json> --dataset <dataset.json> [--port P] [--max-requests N]
-               [--workers N] [--idle-timeout-secs S]
-               [--allow-shutdown] [--numerics exact|quantized] [--metrics-file PATH]
-               [--metrics-interval-secs S] [--flight-dump PATH]
+               [--workers N] [--idle-timeout-secs S] [--allow-shutdown]
+               [--metrics-file PATH] [--metrics-interval-secs S] [--flight-dump PATH]
   rtp online   --model <model.json> --dataset <dataset.json> --addr <host:port> --out <model.json>
                [--shard NAME] [--rounds N] [--epochs-per-round N] [--seed N] [--threads N]
                [--checkpoint-dir DIR]
@@ -233,7 +228,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
     let mut log_json = String::new();
     let mut checkpoint_dir = String::new();
     let mut resume = false;
-    let mut numerics = "exact".to_string();
     let mut metrics_file = String::new();
     let mut metrics_interval_secs = 0u64;
     let mut flight_dump = String::new();
@@ -314,19 +308,29 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
                 epochs_per_round =
                     v(&mut it)?.parse().map_err(|_| ParseError("bad --epochs-per-round".into()))?
             }
-            "--numerics" => {
-                numerics = v(&mut it)?;
-                if numerics == "fast" {
+            // Every tape runs the bit-exact kernels; `exact` stays
+            // accepted as a no-op so existing command lines, the
+            // benchmark's among them, keep working.
+            "--numerics" => match v(&mut it)?.as_str() {
+                "exact" => {}
+                "quantized" => {
                     return Err(ParseError(
-                        "`--numerics fast` was removed: use exact or quantized".into(),
-                    ));
+                        "`--numerics quantized` was removed: its i8 decoders flipped most \
+                         route decisions; exact is the only tier"
+                            .into(),
+                    ))
                 }
-                if !["exact", "quantized"].contains(&numerics.as_str()) {
-                    return Err(ParseError(format!(
-                        "unknown numerics tier `{numerics}` (exact|quantized)"
-                    )));
+                "fast" => {
+                    return Err(ParseError(
+                        "`--numerics fast` was removed: it served fewer requests per second \
+                         than exact; exact is the only tier"
+                            .into(),
+                    ))
                 }
-            }
+                other => {
+                    return Err(ParseError(format!("unknown numerics tier `{other}` (exact)")))
+                }
+            },
             other => return Err(ParseError(format!("unknown flag `{other}`"))),
         }
     }
@@ -383,7 +387,7 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
         "evaluate" => {
             require("model", &model)?;
             require("dataset", &dataset)?;
-            Command::Evaluate { model, dataset, numerics }
+            Command::Evaluate { model, dataset }
         }
         "serve" => {
             require("model", &model)?;
@@ -399,7 +403,6 @@ pub fn parse(args: &[&str]) -> Result<Cli, ParseError> {
                 workers,
                 idle_timeout_secs,
                 allow_shutdown,
-                numerics,
                 metrics_file,
                 metrics_interval_secs,
                 flight_dump,
@@ -676,30 +679,21 @@ mod tests {
 
     #[test]
     fn parses_numerics_flag() {
-        // Default is the bit-exact tier on both subcommands.
-        let cli = parse(&["evaluate", "--model", "m", "--dataset", "d"]).unwrap();
-        assert!(
-            matches!(cli.command, Command::Evaluate { ref numerics, .. } if numerics == "exact")
-        );
-        let cli = parse(&["serve", "--model", "m", "--dataset", "d"]).unwrap();
-        assert!(matches!(cli.command, Command::Serve { ref numerics, .. } if numerics == "exact"));
-
-        for tier in ["exact", "quantized"] {
-            let cli =
-                parse(&["serve", "--model", "m", "--dataset", "d", "--numerics", tier]).unwrap();
-            assert!(matches!(cli.command, Command::Serve { ref numerics, .. } if numerics == tier));
-            let cli =
-                parse(&["evaluate", "--model", "m", "--dataset", "d", "--numerics", tier]).unwrap();
-            assert!(
-                matches!(cli.command, Command::Evaluate { ref numerics, .. } if numerics == tier)
-            );
-        }
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--numerics", "f16"]).is_err());
-        assert!(parse(&["serve", "--model", "m", "--dataset", "d", "--numerics"]).is_err());
+        // `exact` is a no-op on both subcommands; the removed tiers are
+        // refused by name, anything else is an unknown tier.
         for sub in ["serve", "evaluate"] {
-            let err = parse(&[sub, "--model", "m", "--dataset", "d", "--numerics", "fast"])
-                .expect_err("the fast tier is gone");
-            assert!(err.0.contains("`--numerics fast` was removed"), "{err}");
+            let plain = parse(&[sub, "--model", "m", "--dataset", "d"]).unwrap();
+            let exact = parse(&[sub, "--model", "m", "--dataset", "d", "--numerics", "exact"]);
+            assert_eq!(exact.unwrap(), plain);
+            for tier in ["quantized", "fast"] {
+                let err = parse(&[sub, "--model", "m", "--dataset", "d", "--numerics", tier])
+                    .expect_err("the approximate tiers are gone");
+                assert!(err.0.contains(&format!("`--numerics {tier}` was removed: ")), "{err}");
+            }
+            let err = parse(&[sub, "--model", "m", "--dataset", "d", "--numerics", "f16"])
+                .expect_err("unknown tier");
+            assert!(err.0.contains("unknown numerics tier `f16`"), "{err}");
+            assert!(parse(&[sub, "--model", "m", "--dataset", "d", "--numerics"]).is_err());
         }
     }
 
@@ -788,9 +782,8 @@ mod tests {
         let mut args = vec!["serve", "--model", "m.json", "--dataset", "d.json"];
         args.extend(&flags);
         match parse(&args).expect("the benchmark's server command line parses").command {
-            Command::Serve { workers, numerics, allow_shutdown, .. } => {
+            Command::Serve { workers, allow_shutdown, .. } => {
                 assert_eq!(workers, 2);
-                assert_eq!(numerics, "exact");
                 assert!(allow_shutdown);
             }
             other => panic!("wrong command {other:?}"),

@@ -150,18 +150,17 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             )?;
             Ok(0)
         }
-        Command::Evaluate { model, dataset, numerics } => {
+        Command::Evaluate { model, dataset } => {
             let dataset = load_dataset(&dataset)?;
             let model = load_model(&model)?;
-            let numerics = parse_numerics(&numerics);
             let mut racc = RouteMetricAccumulator::new();
             let mut tacc = TimeMetricAccumulator::new();
             for s in &dataset.test {
-                let p = model.predict_sample_with(&dataset, s, numerics);
+                let p = model.predict_sample(&dataset, s);
                 racc.add(&p.route, &s.truth.route);
                 tacc.add(&p.times, &s.truth.arrival, s.query.num_locations());
             }
-            writeln!(out, "test split: {} samples ({} numerics)", dataset.test.len(), numerics)?;
+            writeln!(out, "test split: {} samples", dataset.test.len())?;
             for b in Bucket::ALL {
                 if let (Some(r), Some(t)) = (racc.finish(b), tacc.finish(b)) {
                     writeln!(
@@ -181,7 +180,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             workers,
             idle_timeout_secs,
             allow_shutdown,
-            numerics,
             metrics_file,
             metrics_interval_secs,
             flight_dump,
@@ -201,7 +199,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
                 idle_timeout: (idle_timeout_secs > 0)
                     .then(|| std::time::Duration::from_secs(idle_timeout_secs)),
                 allow_shutdown,
-                numerics: parse_numerics(&numerics),
                 metrics_file: (!metrics_file.is_empty()).then_some(metrics_file),
                 metrics_interval: std::time::Duration::from_secs(metrics_interval_secs),
                 flight_dump: (!flight_dump.is_empty()).then_some(flight_dump),
@@ -251,10 +248,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
     }
 }
 
-fn parse_numerics(s: &str) -> rtp_tensor::Numerics {
-    s.parse().unwrap_or_else(|e| unreachable!("parser validated --numerics: {e}"))
-}
-
 fn load_dataset(path: &str) -> std::io::Result<Dataset> {
     let text = fs::read_to_string(path)?;
     let dataset = Dataset::from_json(&text).map_err(|e| {
@@ -266,12 +259,15 @@ fn load_dataset(path: &str) -> std::io::Result<Dataset> {
     Ok(dataset)
 }
 
+/// Reads a SavedModel file and builds it. A file that does not parse,
+/// or parses but cannot serve (see [`M2G4Rtp::try_from_saved`]), is an
+/// error naming the file (exit 1 in `main`), never a panic.
 fn load_model(path: &str) -> std::io::Result<M2G4Rtp> {
+    let invalid =
+        |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{path}: {e}"));
     let text = fs::read_to_string(path)?;
-    let saved: SavedModel = serde_json::from_str(&text).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{path}: {e}"))
-    })?;
-    Ok(M2G4Rtp::from_saved(saved))
+    let saved: SavedModel = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+    M2G4Rtp::try_from_saved(saved).map_err(invalid)
 }
 
 #[cfg(test)]
@@ -327,6 +323,77 @@ mod tests {
             run_capture(&["predict", "--model", md_s, "--dataset", ds_s, "--sample", "99999"]);
         assert_eq!(code, 2, "{out}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A model file that parses but cannot be built is an error naming
+    /// the file (exit 1 in `main`) for every command that loads one:
+    /// never a panic, and never a server that starts only to panic on
+    /// every query. Each command runs on its own thread under a
+    /// deadline, so a command that panics or keeps serving fails the
+    /// test instead of hanging it.
+    #[test]
+    fn unbuildable_model_files_are_named_errors() {
+        let dir = std::env::temp_dir().join(format!("rtp-cli-badmodel-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (ds, md) = (path("d.json"), path("m.json"));
+        assert_eq!(run_capture(&["generate", "--scale", "tiny", "--seed", "3", "--out", &ds]).0, 0);
+        let train = ["train", "--dataset", &ds, "--epochs", "1", "--out", &md, "--seed", "5"];
+        assert_eq!(run_capture(&train).0, 0);
+        let saved: SavedModel =
+            serde_json::from_str(&std::fs::read_to_string(&md).unwrap()).unwrap();
+
+        let mut truncated = saved.clone();
+        truncated.weights.pop();
+        let mut no_pipeline = saved.clone();
+        no_pipeline.graph_config = None;
+        no_pipeline.scaler = None;
+        let mut bad_config = saved;
+        bad_config.config.n_heads = 5;
+        let cases = [
+            ("truncated.json", truncated, "weight tensors but its architecture has"),
+            ("no_pipeline.json", no_pipeline, "model has no feature pipeline"),
+            ("bad_config.json", bad_config, "invalid model config: d_loc must divide by n_heads"),
+        ];
+        for (name, model, want) in cases {
+            let bad = path(name);
+            std::fs::write(&bad, serde_json::to_string(&model).unwrap()).unwrap();
+            let commands: [Vec<&str>; 4] = [
+                vec!["predict", "--model", &bad, "--dataset", &ds, "--sample", "0"],
+                vec!["evaluate", "--model", &bad, "--dataset", &ds],
+                vec!["serve", "--model", &bad, "--dataset", &ds, "--port", "0"],
+                vec![
+                    "online",
+                    "--model",
+                    &bad,
+                    "--dataset",
+                    &ds,
+                    "--addr",
+                    "127.0.0.1:9",
+                    "--out",
+                    &md,
+                ],
+            ];
+            for args in commands {
+                let cli = parse(&args).expect("parse");
+                let (tx, rx) = std::sync::mpsc::channel();
+                let command = std::thread::spawn(move || {
+                    let _ = tx.send(run(cli.command, &mut Vec::new()).map_err(|e| e.to_string()));
+                });
+                let result = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .unwrap_or_else(|e| panic!("{args:?} panicked or kept running: {e}"));
+                command.join().expect("a command that returned exits its thread");
+                match result {
+                    Err(e) => {
+                        assert!(e.starts_with(&format!("{bad}: ")), "{args:?}: {e}");
+                        assert!(e.contains(want), "{args:?}: {e}");
+                    }
+                    Ok(code) => panic!("{args:?} exited {code} on an unbuildable model"),
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

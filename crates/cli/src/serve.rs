@@ -228,7 +228,7 @@ use rtp_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, S
 use rtp_obs::{flight, StageBreakdown, TraceCtx};
 use rtp_sim::{Dataset, RtpQuery};
 use rtp_tensor::parallel::resolve_threads;
-use rtp_tensor::Numerics;
+use rtp_tensor::Tape;
 use serde::{Deserialize, Serialize};
 
 /// How often the SIGHUP watcher and the `--metrics-file` writer wake
@@ -296,7 +296,8 @@ pub struct HistogramStats {
     pub max: u64,
     /// Mean raw value.
     pub mean: f64,
-    /// Quantized-exact percentiles (bucket floors, ≤1/16 resolution).
+    /// Median, exact to its bucket floor (≤1/16 resolution; see
+    /// [`rtp_obs::metrics::quantize`]).
     pub p50: u64,
     /// 90th percentile.
     pub p90: u64,
@@ -364,10 +365,6 @@ pub struct ServeOptions {
     /// Honour in-band `{"cmd":"shutdown"}` (and the `{"cmd":"panic"}`
     /// fault-injection hook).
     pub allow_shutdown: bool,
-    /// Numerics tier for the inference tapes (`--numerics`). Replies
-    /// from non-default tiers are tagged with a `"numerics"` field so
-    /// clients can tell approximate answers from bit-exact ones.
-    pub numerics: Numerics,
     /// Write the merged registry as Prometheus text exposition to this
     /// path (atomically) every `metrics_interval`, plus once at startup
     /// and shutdown. `None` disables the writer.
@@ -406,12 +403,6 @@ struct ServeMetrics {
     cache_misses: Arc<Counter>,
     cache_invalidations: Arc<Counter>,
     cache_hit_rate: Arc<Gauge>,
-    /// Per-numerics-tier ok-prediction counters
-    /// (`serve.requests.{exact,quantized}`); both are registered up
-    /// front so the stats reply always carries the full tier
-    /// breakdown.
-    req_exact: Arc<Counter>,
-    req_quantized: Arc<Counter>,
     /// Stage-latency histograms `serve.stage.forward_us` and
     /// `serve.stage.write_us`, recorded for every ok prediction.
     stage_forward_us: Arc<Histogram>,
@@ -447,8 +438,6 @@ impl ServeMetrics {
             cache_misses: registry.counter("serve.cache.misses"),
             cache_invalidations: registry.counter("serve.cache.invalidations"),
             cache_hit_rate: registry.gauge("serve.cache.hit_rate"),
-            req_exact: registry.counter("serve.requests.exact"),
-            req_quantized: registry.counter("serve.requests.quantized"),
             stage_forward_us: registry.histogram("serve.stage.forward_us"),
             stage_write_us: registry.histogram("serve.stage.write_us"),
             reload_count: registry.counter("serve.reload.count"),
@@ -682,8 +671,6 @@ impl ServerShared {
 struct WorkerCtx<'a> {
     dataset: &'a Dataset,
     shared: &'a ServerShared,
-    /// Numerics tier every prediction's tape runs under.
-    numerics: Numerics,
     /// Replies written by this worker (`serve.worker.<i>.requests`).
     replies: Arc<Counter>,
 }
@@ -861,12 +848,10 @@ pub fn serve_sharded(
             let queue = &queue;
             let shared = &shared;
             let dataset = &dataset;
-            let numerics = opts.numerics;
             scope.spawn(move || {
                 let ctx = WorkerCtx {
                     dataset,
                     shared,
-                    numerics,
                     replies: shared.registry.counter(&format!("serve.worker.{worker_id}.requests")),
                 };
                 while let Some(conn) = queue.next() {
@@ -1179,6 +1164,8 @@ fn drain_evented_conn(ctx: &WorkerCtx<'_>, conn: &Arc<EvConn>, queue: &RunQueue)
                 // Best effort — the client may already be gone.
                 let _ = conn.write_reply(err.as_bytes());
                 conn.close();
+                // The panic reply spent a budgeted slot like any other.
+                ctx.shared.after_reply();
                 return;
             }
         }
@@ -1396,10 +1383,6 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             metrics.requests.inc();
             shard.requests.inc();
             metrics.stage_forward_us.record(stages.forward_us);
-            match ctx.numerics {
-                Numerics::Exact => metrics.req_exact.inc(),
-                Numerics::Quantized => metrics.req_quantized.inc(),
-            }
             flight::record(flight::Kind::Request, "serve.request", trace_id, || {
                 format!(
                     "courier={} orders={} shard={} latency_us={latency_us}",
@@ -1427,16 +1410,10 @@ fn handle_line(ctx: &WorkerCtx<'_>, line: &str, trace_id: u64) -> Reply {
             // Splice latency and the serving model version into the
             // serialized body ({"a":.. -> {"latency_ms":X,
             // "model_version":V,"a":..): field order is free in JSON.
-            // Quantized replies also carry a tier tag so a client can
-            // tell approximate answers apart.
-            let tier_tag = match ctx.numerics {
-                Numerics::Exact => "",
-                Numerics::Quantized => ",\"numerics\":\"quantized\"",
-            };
             Reply::Line(
                 format!(
                     "{{\"latency_ms\":{latency_ms},\"model_version\":{model_version}\
-                     {tier_tag}{trace_tag},{}",
+                     {trace_tag},{}",
                     &body[1..]
                 ),
                 Some(ser_us),
@@ -1489,11 +1466,8 @@ fn predict_query(
         // The tape is a temporary: built, used and dropped inside the
         // timed forward.
         let t0 = Instant::now();
-        let prediction = model.predict_encoded_into(
-            &mut model.inference_tape(ctx.numerics),
-            &entry.graph,
-            &entry.enc,
-        );
+        let prediction =
+            model.predict_encoded_into(&mut Tape::inference(), &entry.graph, &entry.enc);
         stages.forward_us = t0.elapsed().as_micros() as u64;
         return (prediction, stages, version);
     }
@@ -1501,8 +1475,7 @@ fn predict_query(
     shared.refresh_cache_rate();
     let graph = model.build_graph(&ctx.dataset.city, courier, query);
     let t0 = Instant::now();
-    let (prediction, enc) =
-        model.predict_and_encode_into(&mut model.inference_tape(ctx.numerics), &graph);
+    let (prediction, enc) = model.predict_and_encode_into(&mut Tape::inference(), &graph);
     stages.forward_us = t0.elapsed().as_micros() as u64;
     // Install the activations — unless a swap advanced the shard while
     // this request was in flight, in which case they are already stale

@@ -31,7 +31,6 @@ fn metrics_command_returns_valid_prometheus_text() {
     // Exact traffic accounting in the exposition.
     assert!(m.metrics.contains("serve_requests 2\n"), "{}", m.metrics);
     assert!(m.metrics.contains("serve_errors 1\n"), "{}", m.metrics);
-    assert!(m.metrics.contains("serve_requests_exact 2\n"), "{}", m.metrics);
     // Each measured stage is its own histogram family, sampled once per
     // prediction; the hand-off stages that always read 0 have none.
     assert!(!m.metrics.contains("serve_stage_queue_wait_us"), "{}", m.metrics);

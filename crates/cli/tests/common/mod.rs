@@ -59,6 +59,19 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
+    /// Whether the server thread returns within `timeout` (polled, so a
+    /// server that never stops fails the caller instead of hanging it).
+    pub fn exits_within(&self, timeout: Duration) -> bool {
+        let deadline = std::time::Instant::now() + timeout;
+        while !self.join.is_finished() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        true
+    }
+
     /// Waits for the server to exit and returns its full stdout (the
     /// "workers:" line plus the telemetry summary), newline-joined.
     pub fn shutdown_summary(self) -> String {

@@ -95,14 +95,29 @@ impl ModelConfig {
     /// Validates divisibility and positivity invariants.
     ///
     /// # Panics
-    /// Panics with a descriptive message on an invalid configuration.
+    /// Panics with a descriptive message on an invalid configuration
+    /// (the message [`ModelConfig::check`] returns).
     pub fn validate(&self) {
-        assert!(self.n_heads >= 1, "need at least one attention head");
-        assert!(self.n_layers >= 1, "need at least one encoder layer");
-        assert_eq!(self.d_loc % self.n_heads, 0, "d_loc must divide by n_heads");
-        assert_eq!(self.d_aoi % self.n_heads, 0, "d_aoi must divide by n_heads");
-        assert!(self.d_pos >= 2 && self.d_pos.is_multiple_of(2), "d_pos must be even and >= 2");
-        assert!(self.aoi_vocab >= 2 && self.courier_vocab >= 2, "vocabularies too small");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The invariants of [`ModelConfig::validate`], as a named error
+    /// instead of a panic.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.n_heads >= 1, "need at least one attention head"),
+            (self.n_layers >= 1, "need at least one encoder layer"),
+            (self.d_loc.is_multiple_of(self.n_heads), "d_loc must divide by n_heads"),
+            (self.d_aoi.is_multiple_of(self.n_heads), "d_aoi must divide by n_heads"),
+            (self.d_pos >= 2 && self.d_pos.is_multiple_of(2), "d_pos must be even and >= 2"),
+            (self.aoi_vocab >= 2 && self.courier_vocab >= 2, "vocabularies too small"),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some((_, broken)) => Err(format!("invalid model config: {broken}")),
+            None => Ok(()),
+        }
     }
 
     /// Width of the courier representation `u` = courier embedding ++

@@ -5,9 +5,8 @@
 use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
 use rtp_sim::{Courier, Dataset, RtpQuery, RtpSample};
 use rtp_tensor::nn::{positional_encoding, Embedding};
-use rtp_tensor::{Numerics, ParamId, ParamStore, QuantSet, Tape, TensorId};
+use rtp_tensor::{Numerics, ParamId, ParamStore, Tape, TensorId};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
 
 use crate::config::{ModelConfig, Variant};
 use crate::decoder::{RouteDecoder, SortLstm};
@@ -102,12 +101,6 @@ pub struct M2G4Rtp {
     /// their heads) — the freeze boundary for two-step training.
     time_param_range: (usize, usize),
     pipeline: Option<Pipeline>,
-    /// Quantized parameter snapshot for `--numerics quantized`
-    /// inference, built lazily on first use. Taken once: quantized
-    /// serving assumes frozen weights (the §VI deployment flow —
-    /// train offline, package, serve), so training after the first
-    /// quantized prediction would serve stale i8 weights.
-    quant: OnceLock<Arc<QuantSet>>,
 }
 
 #[derive(Debug)]
@@ -233,7 +226,6 @@ impl M2G4Rtp {
             unc,
             time_param_range: (time_start, time_end),
             pipeline: None,
-            quant: OnceLock::new(),
         }
     }
 
@@ -485,7 +477,7 @@ impl M2G4Rtp {
     pub fn predict_into(&self, t: &mut Tape, g: &MultiLevelGraph) -> Prediction {
         t.clear();
         let (u, x_loc, x_aoi) = self.encode(t, g);
-        self.decode_levels(t, &self.store, g, u, x_loc, x_aoi)
+        self.decode_levels(t, g, u, x_loc, x_aoi, 1)
     }
 
     /// Like [`M2G4Rtp::predict_into`], but also extracts the sample's
@@ -502,7 +494,7 @@ impl M2G4Rtp {
             x_loc: t.data(x_loc).to_vec(),
             x_aoi: x_aoi.map(|x| t.data(x).to_vec()),
         };
-        (self.decode_levels(t, &self.store, g, u, x_loc, x_aoi), enc)
+        (self.decode_levels(t, g, u, x_loc, x_aoi, 1), enc)
     }
 
     /// The inference encoders: courier representation `u` and the
@@ -515,42 +507,39 @@ impl M2G4Rtp {
         (u, x_loc, x_aoi)
     }
 
-    /// The i8 quantized snapshot of this model's weight matrices,
-    /// built once on first request and shared by every quantized tape
-    /// afterwards (weights are frozen at serve time).
-    pub fn quant_set(&self) -> Arc<QuantSet> {
-        Arc::clone(self.quant.get_or_init(|| Arc::new(QuantSet::build(&self.store))))
+    /// A fresh no-grad tape: [`Tape::inference`]. `Exact` is the only
+    /// numerics tier; the argument remains for the benchmark's
+    /// `inference_tape(Numerics::Exact)` calls.
+    pub fn inference_tape(&self, _numerics: Numerics) -> Tape {
+        Tape::inference()
     }
 
-    /// A fresh no-grad tape configured for `numerics`, with the
-    /// model's quantized weights attached when the tier needs them.
-    /// This is the one constructor serve/eval paths should use so the
-    /// tier flag and the quant snapshot can never go out of sync.
-    pub fn inference_tape(&self, numerics: Numerics) -> Tape {
-        let mut t = Tape::inference_with(numerics);
-        if numerics == Numerics::Quantized {
-            t.attach_quant(self.quant_set());
-        }
-        t
-    }
-
-    /// The shared greedy decode tail: AOI route/time decoding, the
-    /// guidance pathway (Eq. 34) and the location decoders, starting
-    /// from already-encoded node representations. Every greedy entry
-    /// point (cold, encode-and-cache, cached-activation) funnels through
-    /// this, so equal encoder bits guarantee equal predictions.
+    /// The shared decode tail: AOI route/time decoding, the guidance
+    /// pathway (Eq. 34) and the location decoders, starting from
+    /// already-encoded node representations. Every entry point (cold,
+    /// encode-and-cache, cached-activation, beam) funnels through this,
+    /// so equal encoder bits guarantee equal predictions. Routes decode
+    /// greedily at `beam == 1` and by beam search above it.
     fn decode_levels(
         &self,
         t: &mut Tape,
-        store: &ParamStore,
         g: &MultiLevelGraph,
         u: TensorId,
         x_loc: TensorId,
         x_aoi: Option<TensorId>,
+        beam: usize,
     ) -> Prediction {
+        let store = &self.store;
+        let decode = |dec: &RouteDecoder, t: &mut Tape, x: TensorId| {
+            if beam == 1 {
+                dec.decode(t, store, x, u)
+            } else {
+                dec.decode_beam(t, store, x, u, beam)
+            }
+        };
         let (aoi_route, aoi_times, x_in_loc) = if let Some(aoi) = &self.aoi_level {
             let x_aoi = x_aoi.expect("AOI-level model requires AOI activations");
-            let aoi_route = aoi.route_dec.decode(t, store, x_aoi, u);
+            let aoi_route = decode(&aoi.route_dec, t, x_aoi);
             let y_aoi = self
                 .time_dec_aoi
                 .as_ref()
@@ -568,7 +557,7 @@ impl M2G4Rtp {
             (Vec::new(), Vec::new(), x_loc)
         };
 
-        let route = self.route_dec_loc.decode(t, store, x_in_loc, u);
+        let route = decode(&self.route_dec_loc, t, x_in_loc);
         let y_loc = self.time_dec_loc.forward(t, store, x_in_loc, &route);
         let times: Vec<f32> = t.data(y_loc).iter().map(|&v| (v * TIME_SCALE).max(0.0)).collect();
 
@@ -625,7 +614,7 @@ impl M2G4Rtp {
             assert_eq!(data.len() % m.max(1), 0, "cached x_aoi shape mismatch");
             t.constant(m, data.len() / m, data.clone())
         });
-        self.decode_levels(t, store, g, u, x_loc, x_aoi)
+        self.decode_levels(t, g, u, x_loc, x_aoi, 1)
     }
 
     /// Joint inference with beam-search route decoding (extension over
@@ -633,38 +622,8 @@ impl M2G4Rtp {
     /// beam width; `beam == 1` is identical to [`M2G4Rtp::predict`].
     pub fn predict_beam(&self, g: &MultiLevelGraph, beam: usize) -> Prediction {
         let t = &mut Tape::inference();
-        let store = &self.store;
-        let u = self.courier_repr(t, store, g);
-        let x_loc = self.encode_loc(t, store, g);
-        let (aoi_route, aoi_times, x_in_loc) = if let Some(aoi) = &self.aoi_level {
-            let x_aoi = self.encode_aoi(t, store, g);
-            let aoi_route = aoi.route_dec.decode_beam(t, store, x_aoi, u, beam);
-            let y_aoi = self
-                .time_dec_aoi
-                .as_ref()
-                .expect("AOI time decoder")
-                .forward(t, store, x_aoi, &aoi_route);
-            let mut aoi_ranks = vec![0usize; aoi_route.len()];
-            for (pos, &a) in aoi_route.iter().enumerate() {
-                aoi_ranks[a] = pos;
-            }
-            let x_in = self.guided_loc_inputs(t, x_loc, y_aoi, &aoi_ranks, &g.loc_to_aoi);
-            let times: Vec<f32> =
-                t.data(y_aoi).iter().map(|&v| (v * TIME_SCALE).max(0.0)).collect();
-            (aoi_route, times, x_in)
-        } else {
-            (Vec::new(), Vec::new(), x_loc)
-        };
-        let route = self.route_dec_loc.decode_beam(t, store, x_in_loc, u, beam);
-        let y_loc = self.time_dec_loc.forward(t, store, x_in_loc, &route);
-        let times: Vec<f32> = t.data(y_loc).iter().map(|&v| (v * TIME_SCALE).max(0.0)).collect();
-        if self.aoi_level.is_some() {
-            Prediction { aoi_route, aoi_times, route, times }
-        } else {
-            let (aoi_route, aoi_times) =
-                derive_aoi_outputs(&route, &times, &g.loc_to_aoi, g.aois.n);
-            Prediction { aoi_route, aoi_times, route, times }
-        }
+        let (u, x_loc, x_aoi) = self.encode(t, g);
+        self.decode_levels(t, g, u, x_loc, x_aoi, beam)
     }
 
     /// Diagnostic inference: like [`M2G4Rtp::predict`], but feeds the
@@ -700,20 +659,8 @@ impl M2G4Rtp {
     /// Convenience: builds the graph for `sample` through the attached
     /// pipeline and predicts.
     pub fn predict_sample(&self, dataset: &Dataset, sample: &RtpSample) -> Prediction {
-        self.predict_sample_with(dataset, sample, Numerics::Exact)
-    }
-
-    /// [`M2G4Rtp::predict_sample`] under an explicit numerics tier
-    /// (`--numerics` on `rtp eval`).
-    pub fn predict_sample_with(
-        &self,
-        dataset: &Dataset,
-        sample: &RtpSample,
-        numerics: Numerics,
-    ) -> Prediction {
         let courier = &dataset.couriers[sample.query.courier_id];
-        let g = self.build_graph(&dataset.city, courier, &sample.query);
-        self.predict_into(&mut self.inference_tape(numerics), &g)
+        self.predict(&self.build_graph(&dataset.city, courier, &sample.query))
     }
 }
 
@@ -744,9 +691,8 @@ impl SavedModel {
     ///
     /// Compatible means: every architecture field of [`ModelConfig`]
     /// matches the running model (graph dims, feature widths, vocab
-    /// sizes, variant), the snapshot carries a feature pipeline (a
-    /// server cannot build graphs without one), and the weight layout
-    /// matches the running parameter store tensor by tensor.
+    /// sizes, variant), and the snapshot passes the load rules of
+    /// [`M2G4Rtp::try_from_saved`] against the running parameter store.
     pub fn validate_swap(&self, current: &M2G4Rtp) -> Result<(), String> {
         let have = current.config();
         let want = &self.config;
@@ -776,23 +722,30 @@ impl SavedModel {
                 want.variant.label()
             ));
         }
+        self.check_servable(&current.store)
+    }
+
+    /// The load rules every servable snapshot must meet: it carries a
+    /// feature pipeline (a server cannot build graphs without one), and
+    /// its weights match `store`'s layout tensor by tensor, so the
+    /// restore in [`M2G4Rtp::from_saved`] cannot panic.
+    fn check_servable(&self, store: &ParamStore) -> Result<(), String> {
         if self.graph_config.is_none() || self.scaler.is_none() {
-            return Err("new model has no feature pipeline (graph config + scaler)".into());
+            return Err("model has no feature pipeline (graph config + scaler)".into());
         }
-        if self.weights.len() != current.store.len() {
+        if self.weights.len() != store.len() {
             return Err(format!(
-                "new model holds {} weight tensors but the running model has {}",
+                "model holds {} weight tensors but its architecture has {}",
                 self.weights.len(),
-                current.store.len()
+                store.len()
             ));
         }
-        for id in current.store.iter_ids() {
-            let (new, running) = (self.weights[id.index()].len(), current.store.data(id).len());
-            if new != running {
+        for id in store.iter_ids() {
+            let (have, want) = (self.weights[id.index()].len(), store.data(id).len());
+            if have != want {
                 return Err(format!(
-                    "weight tensor `{}` has {new} scalars in the new model but {running} in \
-                     the running one",
-                    current.store.name(id)
+                    "weight tensor `{}` has {have} scalars but its architecture has {want}",
+                    store.name(id)
                 ));
             }
         }
@@ -818,14 +771,32 @@ impl M2G4Rtp {
     /// # Panics
     /// Panics if the snapshot's weight layout does not match the
     /// architecture its config describes (i.e. the snapshot is
-    /// corrupt or from an incompatible version).
+    /// corrupt or from an incompatible version). Snapshots read from
+    /// disk go through [`M2G4Rtp::try_from_saved`] instead.
     pub fn from_saved(saved: SavedModel) -> Self {
-        let mut model = Self::new(saved.config, 0);
-        model.store.restore(&saved.weights);
-        if let (Some(gc), Some(scaler)) = (saved.graph_config, saved.scaler) {
-            model.set_pipeline(GraphBuilder::new(gc), scaler);
-        }
+        let mut model = Self::new(saved.config.clone(), 0);
+        model.restore_saved(saved);
         model
+    }
+
+    /// Builds a servable model from a snapshot read from disk. Where
+    /// [`M2G4Rtp::from_saved`] or the first query would panic, this
+    /// names the fault instead: an invalid [`ModelConfig`], no feature
+    /// pipeline, or a weight layout that does not match the
+    /// architecture its config describes.
+    pub fn try_from_saved(saved: SavedModel) -> Result<Self, String> {
+        saved.config.check()?;
+        let mut model = Self::new(saved.config.clone(), 0);
+        saved.check_servable(&model.store)?;
+        model.restore_saved(saved);
+        Ok(model)
+    }
+
+    fn restore_saved(&mut self, saved: SavedModel) {
+        self.store.restore(&saved.weights);
+        if let (Some(gc), Some(scaler)) = (saved.graph_config, saved.scaler) {
+            self.set_pipeline(GraphBuilder::new(gc), scaler);
+        }
     }
 }
 
@@ -1012,6 +983,23 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.times), bits(&b.times), "{ctx}: time bits differ");
         assert_eq!(bits(&a.aoi_times), bits(&b.aoi_times), "{ctx}: AOI time bits differ");
+    }
+
+    /// The `inference_tape(Numerics::Exact)` path (the one the
+    /// benchmark's oracle takes) and the pipeline's `predict_sample`
+    /// both reproduce `predict` bit for bit.
+    #[test]
+    fn exact_inference_paths_are_bitwise_identical_to_predict() {
+        for v in Variant::ALL {
+            let (d, model, graphs) = setup(v);
+            for (g, s) in graphs.iter().zip(&d.train) {
+                let reference = model.predict(g);
+                let tape = model.predict_into(&mut model.inference_tape(Numerics::Exact), g);
+                assert_bit_identical(&tape, &reference, &format!("{v:?} inference_tape"));
+                let sample = model.predict_sample(&d, s);
+                assert_bit_identical(&sample, &reference, &format!("{v:?} predict_sample"));
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub mod parallel;
 pub mod simd;
 
 pub use params::{GradBuffer, GradSink, ParamId, ParamStore};
-pub use simd::{QuantSet, QuantizedMatrix};
 pub use tape::{Numerics, Tape, TensorId};
 
 /// Numerically compares two f32 slices within a tolerance; used widely by

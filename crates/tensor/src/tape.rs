@@ -22,57 +22,18 @@
 //! builds a no-grad tape that skips gradient allocation and op-payload
 //! recording entirely; [`Tape::backward`] on such a tape panics.
 
-use std::sync::Arc;
-
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
-use crate::simd::{self, QuantSet};
 
-/// Numerics tier of a tape (see DESIGN.md "Numerics policy").
-///
-/// * `Exact` — the default everywhere: every kernel is bit-identical
-///   to its naive reference, so training is deterministic across
-///   thread counts and twin servers byte-match. Gradients only ever
-///   flow on exact tapes ([`Tape::new`] is always exact).
-/// * `Quantized` — matmuls whose RHS is a model parameter with a
-///   quantized snapshot run as i8×i8→i32 dots
-///   ([`crate::simd::matmul_q8`]); every other op runs the exact
-///   kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Numerics tier of an inference tape. `Exact` is the only tier: every
+/// kernel is bit-identical to its naive reference, so training is
+/// deterministic across thread counts and twin servers byte-match (see
+/// DESIGN.md "Numerics policy"). The type remains only for the
+/// benchmark's `inference_tape(Numerics::Exact)` calls (`perfbench/`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Numerics {
-    /// Bit-exact tier (default; the only tier gradients may use).
-    #[default]
+    /// Bit-exact tier.
     Exact,
-    /// i8-quantized param matmuls over the exact tier (inference only).
-    Quantized,
-}
-
-impl Numerics {
-    /// Canonical lowercase name, as used by `--numerics` flags and
-    /// reply tags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Numerics::Exact => "exact",
-            Numerics::Quantized => "quantized",
-        }
-    }
-}
-
-impl std::fmt::Display for Numerics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Numerics {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Numerics::Exact),
-            "quantized" => Ok(Numerics::Quantized),
-            other => Err(format!("unknown numerics tier `{other}` (exact|quantized)")),
-        }
-    }
 }
 
 /// Handle to a tensor on a [`Tape`].
@@ -144,10 +105,6 @@ pub struct Tape {
     /// One gradient buffer per node (grad mode only; empty otherwise).
     grads: Vec<Vec<f32>>,
     grad_enabled: bool,
-    /// Numerics tier (always [`Numerics::Exact`] on grad tapes).
-    numerics: Numerics,
-    /// Quantized parameter snapshots for [`Numerics::Quantized`].
-    quant: Option<Arc<QuantSet>>,
 }
 
 impl Default for Tape {
@@ -158,14 +115,7 @@ impl Default for Tape {
 
 impl Tape {
     fn with_grad(grad_enabled: bool) -> Self {
-        Self {
-            nodes: Vec::new(),
-            bufs: Vec::new(),
-            grads: Vec::new(),
-            grad_enabled,
-            numerics: Numerics::Exact,
-            quant: None,
-        }
+        Self { nodes: Vec::new(), bufs: Vec::new(), grads: Vec::new(), grad_enabled }
     }
 
     /// Creates an empty tape that records gradients.
@@ -179,32 +129,6 @@ impl Tape {
     /// [`Tape::grad`] panic on such a tape.
     pub fn inference() -> Self {
         Self::with_grad(false)
-    }
-
-    /// Creates a no-grad tape running the given numerics tier. Only
-    /// inference tapes can leave the exact tier: [`Tape::new`] is
-    /// always exact, so gradients structurally never see quantized
-    /// kernels.
-    pub fn inference_with(numerics: Numerics) -> Self {
-        let mut t = Self::with_grad(false);
-        t.numerics = numerics;
-        t
-    }
-
-    /// The tape's numerics tier.
-    pub fn numerics(&self) -> Numerics {
-        self.numerics
-    }
-
-    /// Attaches quantized parameter snapshots; matmuls whose RHS is a
-    /// parameter present in `quant` (with matching shape) will run the
-    /// i8 path when the tape's tier is [`Numerics::Quantized`].
-    ///
-    /// # Panics
-    /// Panics on a grad tape — quantization is inference-only.
-    pub fn attach_quant(&mut self, quant: Arc<QuantSet>) {
-        assert!(!self.grad_enabled, "quantized numerics on a grad tape");
-        self.quant = Some(quant);
     }
 
     /// Number of nodes recorded so far.
@@ -239,21 +163,16 @@ impl Tape {
     }
 
     /// Appends a node that references an existing buffer (zero-copy
-    /// views). In no-grad mode ops are dropped in favour of `Leaf` —
-    /// except `Op::Param`, which is payload-free and lets the
-    /// quantized tier recognise parameter operands ([`Tape::matmul`]).
+    /// views). In no-grad mode ops are dropped in favour of `Leaf`.
     fn push_view(&mut self, rows: usize, cols: usize, buf: u32, op: Op) -> TensorId {
         let id = TensorId(self.nodes.len() as u32);
-        if self.grad_enabled {
+        let op = if self.grad_enabled {
             self.grads.push(vec![0.0; rows * cols]);
-            self.nodes.push(Node { rows, cols, buf, op });
+            op
         } else {
-            let op = match op {
-                Op::Param(pid) => Op::Param(pid),
-                _ => Op::Leaf,
-            };
-            self.nodes.push(Node { rows, cols, buf, op });
-        }
+            Op::Leaf
+        };
+        self.nodes.push(Node { rows, cols, buf, op });
         id
     }
 
@@ -317,24 +236,13 @@ impl Tape {
     // ---------------------------------------------------------------
 
     /// Matrix product `a @ b`: `[r,k] x [k,c] -> [r,c]`, via the
-    /// cache-blocked kernel in [`crate::kernels`] — or, on quantized
-    /// inference tapes, the i8 kernel when `b` is a parameter with a
-    /// quantized snapshot.
+    /// cache-blocked kernel in [`crate::kernels`].
     pub fn matmul(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (ar, ak) = self.shape(a);
         let (bk, bc) = self.shape(b);
         assert_eq!(ak, bk, "matmul inner dim mismatch: [{ar},{ak}] x [{bk},{bc}]");
         let mut out = vec![0.0; ar * bc];
-        let qm = match (self.numerics, &self.nodes[b.idx()].op) {
-            (Numerics::Quantized, &Op::Param(pid)) => {
-                self.quant.as_ref().and_then(|qs| qs.get(pid)).filter(|qm| qm.k == ak && qm.c == bc)
-            }
-            _ => None,
-        };
-        match qm {
-            Some(qm) => simd::matmul_q8(self.data(a), qm, &mut out, ar, ak, bc),
-            None => kernels::matmul(self.data(a), self.data(b), &mut out, ar, ak, bc),
-        }
+        kernels::matmul(self.data(a), self.data(b), &mut out, ar, ak, bc);
         self.push(ar, bc, out, Op::Matmul(a, b))
     }
 

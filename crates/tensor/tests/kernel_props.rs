@@ -7,12 +7,10 @@
 //! blocking, panel packing and AVX2 lanes only reorder independent
 //! elements. That makes the equivalence testable as exact bit
 //! equality, not a tolerance check, and it is what keeps training
-//! bit-identical across thread counts after the kernel swap. The
-//! opt-in quantized tier (`matmul_q8`) trades that guarantee for
-//! speed, so its properties are explicit error *bounds* instead.
+//! bit-identical across thread counts after the kernel swap.
 
 use proptest::prelude::*;
-use rtp_tensor::{kernels, ParamStore, QuantizedMatrix, Tape};
+use rtp_tensor::{kernels, ParamStore, Tape};
 
 /// Random matrix of the given size with values spanning several orders
 /// of magnitude (including exact zeros, which the backward kernels
@@ -129,63 +127,6 @@ proptest! {
         kernels::matmul_grad_b_naive(&avec, &gvec, &mut gb_naive, r, k, c);
         kernels::matmul_grad_b(&avec, &gvec, &mut gb_simd, r, k, c);
         prop_assert_eq!(bits(&gb_naive), bits(&gb_simd));
-    }
-
-    /// Symmetric per-channel i8 quantization round-trips weights to
-    /// within half a quantization step of each channel's scale.
-    #[test]
-    fn quantize_dequantize_roundtrip_is_within_half_step(
-        (k, c) in (1usize..=40, 1usize..=20),
-        bv in mat(800),
-    ) {
-        let bvec: Vec<f32> = bv.iter().cycle().take(k * c).copied().collect();
-        let q = QuantizedMatrix::from_weights(&bvec, k, c);
-        let deq = q.dequantize();
-        let scales = q.scales();
-        for kk in 0..k {
-            for j in 0..c {
-                let (orig, back) = (bvec[kk * c + j], deq[kk * c + j]);
-                let tol = scales[j] * 0.5 + 1e-7;
-                prop_assert!(
-                    (orig - back).abs() <= tol,
-                    "({kk},{j}): {orig} -> {back}, scale {}",
-                    scales[j]
-                );
-            }
-        }
-    }
-
-    /// The quantized matmul is within its analytic accuracy budget of
-    /// the exact kernel: activation and weight each carry at most half
-    /// an LSB of their per-row/per-channel scale, so per reduction term
-    /// the error is ≈ 127.25·sa·sw, i.e. ≤ k·amax_a·amax_w/120 per
-    /// output element (the i32 dot itself is exact).
-    #[test]
-    fn quantized_matmul_is_within_accuracy_budget(
-        (r, k, c) in dims_wide(),
-        av in mat(600),
-        bv in mat(900),
-    ) {
-        let avec: Vec<f32> = av.iter().cycle().take(r * k).copied().collect();
-        let bvec: Vec<f32> = bv.iter().cycle().take(k * c).copied().collect();
-        let q = QuantizedMatrix::from_weights(&bvec, k, c);
-        let mut exact = vec![f32::NAN; r * c];
-        let mut quant = vec![f32::NAN; r * c];
-        kernels::matmul_naive(&avec, &bvec, &mut exact, r, k, c);
-        rtp_tensor::simd::matmul_q8(&avec, &q, &mut quant, r, k, c);
-        for i in 0..r {
-            let amax_a = avec[i * k..(i + 1) * k].iter().fold(0.0f32, |m, x| m.max(x.abs()));
-            for j in 0..c {
-                let amax_w =
-                    (0..k).map(|kk| bvec[kk * c + j].abs()).fold(0.0f32, f32::max);
-                let tol = k as f32 * amax_a * amax_w / 120.0 + 1e-5;
-                let (e, qv) = (exact[i * c + j], quant[i * c + j]);
-                prop_assert!(
-                    (e - qv).abs() <= tol,
-                    "({i},{j}): exact {e} vs q8 {qv}, tol {tol}"
-                );
-            }
-        }
     }
 
     /// A tape cleared and reused for a program must produce bitwise the
