@@ -58,6 +58,10 @@ const SWAP_SEGMENT: Duration = Duration::from_secs(10);
 const SWAP_SEGMENTS: usize = 8;
 
 struct Row {
+    /// Which arm measured the row: `plain`, `soak_twin`, `soak`,
+    /// `swap_quiet` or `swap`. `perf_gate` keys rows by it, because
+    /// arms share worker counts.
+    arm: &'static str,
     workers: usize,
     requests: usize,
     requests_per_sec: f64,
@@ -187,7 +191,13 @@ fn stats_and_stop(addr: &str) -> (u64, u64, f64) {
     (lat.p50, lat.p99, cache_hit_rate)
 }
 
-fn measure(workers: usize, model: M2G4Rtp, dataset: &Dataset, idle_conns: usize) -> Row {
+fn measure(
+    arm: &'static str,
+    workers: usize,
+    model: M2G4Rtp,
+    dataset: &Dataset,
+    idle_conns: usize,
+) -> Row {
     let (addr, server) = start_server(workers, model, dataset);
     let lines = query_lines(dataset);
     warm_server(&addr, &lines);
@@ -229,6 +239,7 @@ fn measure(workers: usize, model: M2G4Rtp, dataset: &Dataset, idle_conns: usize)
 
     let requests = CLIENTS * REQUESTS_PER_CLIENT;
     Row {
+        arm,
         workers,
         requests,
         requests_per_sec: requests as f64 / elapsed,
@@ -322,7 +333,8 @@ fn measure_swap_pair(
     let (p50_us, p99_us, cache_hit_rate) = stats_and_stop(&addr);
     server.join().expect("server exits");
 
-    let row = |(requests, seconds): (u64, f64), reloads: usize| Row {
+    let row = |arm, (requests, seconds): (u64, f64), reloads: usize| Row {
+        arm,
         workers,
         requests: requests as usize,
         requests_per_sec: requests as f64 / seconds,
@@ -335,7 +347,7 @@ fn measure_swap_pair(
         idle_threads_delta: 0,
         reloads,
     };
-    (row(quiet, 0), row(swap, reloads))
+    (row("swap_quiet", quiet, 0), row("swap", swap, reloads))
 }
 
 fn main() {
@@ -367,7 +379,7 @@ fn main() {
     // One arm per worker count, serving through the encoder cache.
     let mut rows: Vec<(Row, f64)> = Vec::new(); // (row, req/s relative to its twin arm)
     for &w in &settings {
-        let row = measure(w, load(), &dataset, 0);
+        let row = measure("plain", w, load(), &dataset, 0);
         println!(
             "workers {:>2}: {:>8.1} req/s  (cache hit rate {:.1}%, p50 {:.3} ms, p99 {:.3} ms)",
             row.workers,
@@ -388,8 +400,8 @@ fn main() {
     // constrained runner soaks what it can instead of dying on EMFILE.
     if !swap_only {
         let soak_n = ((max_open_files().saturating_sub(256)) / 2).min(1500);
-        let soak_base = measure(1, load(), &dataset, 0);
-        let soak = measure(1, load(), &dataset, soak_n);
+        let soak_base = measure("soak_twin", 1, load(), &dataset, 0);
+        let soak = measure("soak", 1, load(), &dataset, soak_n);
         println!(
             "idle soak: {:>8.1} req/s with {} idle conns vs {:>8.1} req/s with none ({:.2}x, {} extra thread(s))",
             soak.requests_per_sec,
@@ -422,7 +434,8 @@ fn main() {
         .iter()
         .map(|(r, ratio_vs_twin)| {
             format!(
-                "    {{\"workers\": {}, \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"ratio_vs_twin\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
+                "    {{\"arm\": \"{}\", \"workers\": {}, \"requests\": {}, \"requests_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \"ratio_vs_twin\": {:.3}, \"cache_hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \"idle_conns\": {}, \"idle_threads_delta\": {}, \"reloads\": {}}}",
+                r.arm,
                 r.workers,
                 r.requests,
                 r.requests_per_sec,

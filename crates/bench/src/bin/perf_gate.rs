@@ -24,6 +24,10 @@
 //!   tolerance (default 15%, CI passes 5) of the no-reload twin's
 //!   throughput, compared within one run so scheduler noise between
 //!   runs cannot fail the gate.
+//! * `ckpt`     — gate on the training bench's checkpoint overhead:
+//!   the per-epoch checkpoints' wall time must not exceed the tolerance
+//!   (default 15%, CI passes 5) of the rest of the same checkpointed
+//!   run, again a within-run ratio.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -101,12 +105,16 @@ fn extract_metrics(bench: &str, v: &Value) -> BTreeMap<String, f64> {
                 let Some(w) = get_u64(row, "workers") else {
                     continue;
                 };
-                // The swap arm measures the same worker count as a
-                // plain arm — suffix its tag so the two don't collide in
-                // the history/baseline. `.exact` names the one numerics
-                // tier, keeping the keys of earlier multi-tier runs.
-                let reload = if get_u64(row, "reloads").unwrap_or(0) > 0 { ".reload" } else { "" };
-                let tag = format!("w{w}.exact{reload}");
+                // The soak and swap arms measure the same worker counts
+                // as the plain arms, so every arm but `plain` is named in
+                // its keys; the plain arm keeps the bare keys the
+                // baseline was written with. `.exact` names the one
+                // numerics tier, keeping the keys of earlier multi-tier
+                // runs.
+                let tag = match row.get("arm").and_then(Value::as_str).unwrap_or("plain") {
+                    "plain" => format!("w{w}.exact"),
+                    arm => format!("w{w}.exact.{arm}"),
+                };
                 for key in ["requests_per_sec", "p50_us", "p99_us"] {
                     if let Some(x) = get_num(row, key) {
                         m.insert(format!("{tag}.{key}"), x);
@@ -279,6 +287,33 @@ fn cmd_swap(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// The checkpoint-overhead gate: reads the checkpointed run out of the
+/// current `training_throughput.json` and fails if its checkpoints took
+/// more than `tolerance_pct` of the rest of that run's wall clock. Both
+/// sides of the ratio come from one run, so host speed cancels out.
+fn cmd_ckpt(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
+    let v = load_json(&dir.join("training_throughput.json")).ok_or(
+        "missing results/training_throughput.json — run the training_throughput bench first",
+    )?;
+    let (Some(frac), Some(ckpt_s)) =
+        (get_num(&v, "checkpoint_overhead_frac"), get_num(&v, "checkpoint_seconds"))
+    else {
+        return Err("training_throughput.json lacks its within-run checkpoint timing — rerun \
+                    the bench"
+            .into());
+    };
+    let cost_pct = frac * 100.0;
+    let verdict = format!(
+        "per-epoch checkpoints ({ckpt_s:.3}s) cost {cost_pct:.1}% of the rest of the run \
+         (tolerance {tolerance_pct}%)"
+    );
+    if cost_pct > tolerance_pct {
+        return Err(verdict);
+    }
+    println!("checkpoint gate OK: {verdict}");
+    Ok(())
+}
+
 /// Headline metrics per bench for the trend page (full metric sets
 /// live in the JSONL).
 fn headline(bench: &str) -> Vec<&'static str> {
@@ -364,7 +399,7 @@ fn main() {
     let mut cmd: Option<&str> = None;
     let mut it = args.iter();
     let usage =
-        "usage: perf_gate <append|check|baseline|render|swap> [--only <bench>] [--tolerance <pct>]";
+        "usage: perf_gate <append|check|baseline|render|swap|ckpt> [--only <bench>] [--tolerance <pct>]";
     while let Some(a) = it.next() {
         match a.as_str() {
             "append" => cmd = Some("append"),
@@ -372,6 +407,7 @@ fn main() {
             "baseline" => cmd = Some("baseline"),
             "render" => cmd = Some("render"),
             "swap" => cmd = Some("swap"),
+            "ckpt" => cmd = Some("ckpt"),
             "--only" => only = it.next().cloned(),
             "--tolerance" => {
                 tolerance = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -391,10 +427,48 @@ fn main() {
         Some("baseline") => cmd_baseline(&dir),
         Some("render") => cmd_render(&dir),
         Some("swap") => cmd_swap(&dir, tolerance),
+        Some("ckpt") => cmd_ckpt(&dir, tolerance),
         _ => Err(usage.to_string()),
     };
     if let Err(e) = result {
         eprintln!("perf_gate: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_serve_arm_has_its_own_keys() {
+        // Shaped like a two-core `serve_throughput.json`: plain arms at
+        // 1 and 2 workers, the soak pair at 1, the swap pair at 2.
+        let row = |arm: &str, workers: u32, rps: f64, p99: u32, reloads: u32| {
+            format!(
+                "{{\"arm\": \"{arm}\", \"workers\": {workers}, \"requests_per_sec\": {rps}, \
+                 \"p50_us\": 600, \"p99_us\": {p99}, \"reloads\": {reloads}}}"
+            )
+        };
+        let rows = [
+            row("plain", 1, 1445.3, 1216, 0),
+            row("plain", 2, 2737.9, 1216, 0),
+            row("soak_twin", 1, 1432.8, 1280, 0),
+            row("soak", 1, 1443.4, 1728, 0),
+            row("swap_quiet", 2, 2858.1, 1088, 0),
+            row("swap", 2, 2824.0, 1088, 4),
+        ];
+        let v: Value =
+            serde_json::from_str(&format!("{{\"rows\": [{}]}}", rows.join(","))).unwrap();
+        let m = extract_metrics("serve_throughput", &v);
+        assert_eq!(m.len(), 6 * 3, "no row overwrites another: {m:?}");
+        assert_eq!(m["w1.exact.requests_per_sec"], 1445.3);
+        assert_eq!(m["w1.exact.p99_us"], 1216.0);
+        assert_eq!(m["w2.exact.requests_per_sec"], 2737.9);
+        assert_eq!(m["w2.exact.p99_us"], 1216.0);
+        assert_eq!(m["w1.exact.soak.p99_us"], 1728.0);
+        assert_eq!(m["w1.exact.soak_twin.requests_per_sec"], 1432.8);
+        assert_eq!(m["w2.exact.swap_quiet.requests_per_sec"], 2858.1);
+        assert_eq!(m["w2.exact.swap.requests_per_sec"], 2824.0);
     }
 }

@@ -349,12 +349,29 @@ mod tests {
         let mut no_pipeline = saved.clone();
         no_pipeline.graph_config = None;
         no_pipeline.scaler = None;
+        // The scaler's statistics are private, so empty one through the
+        // serialised form.
+        let short_scaler: SavedModel = {
+            fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+                let serde::Value::Object(fields) = v else { panic!("`{key}`'s parent") };
+                &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+            }
+            let mut v = serde::Serialize::to_value(&saved);
+            *field(field(field(&mut v, "scaler"), "loc_edge"), "mean") =
+                serde::Value::Array(vec![]);
+            serde::Deserialize::from_value(&v).unwrap()
+        };
         let mut bad_config = saved;
         bad_config.config.n_heads = 5;
         let cases = [
             ("truncated.json", truncated, "weight tensors but its architecture has"),
             ("no_pipeline.json", no_pipeline, "model has no feature pipeline"),
             ("bad_config.json", bad_config, "invalid model config: d_loc must divide by n_heads"),
+            (
+                "short_scaler.json",
+                short_scaler,
+                "feature scaler `loc_edge` holds 0 means and 2 stds",
+            ),
         ];
         for (name, model, want) in cases {
             let bad = path(name);

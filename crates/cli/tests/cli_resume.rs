@@ -4,11 +4,13 @@
 //! assert the final model file is **byte-identical** to an
 //! uninterrupted reference run. Covers `--variant full` (kill inside
 //! the route warm-up) and `--variant two-step` (kill inside phase A),
-//! plus the corrupted/truncated-checkpoint failure modes.
+//! plus the missing, garbage and bit-flipped checkpoint failure modes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use m2g4rtp::{TrainCheckpoint, CHECKPOINT_FILE};
 
 const EPOCHS: &str = "3";
 
@@ -50,28 +52,14 @@ fn run_ok(args: &[String]) {
     assert!(out.status.success(), "rtp {args:?} failed:\n{}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// Extracts `"epochs_done": N` from checkpoint JSON without a parser.
-fn epochs_done(json: &str) -> Option<usize> {
-    let key = "\"epochs_done\":";
-    let at = json.find(key)? + key.len();
-    let digits: String = json[at..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Polls the checkpoint file until at least `min_epochs` are recorded.
-/// Atomic checkpoint writes guarantee every read sees a complete file,
-/// never a partial one.
+/// Polls the checkpoint directory until its checkpoint records at
+/// least `min_epochs`. Atomic checkpoint writes guarantee every read
+/// sees a complete file, never a partial one.
 fn wait_for_epochs(ckpt: &Path, min_epochs: usize, child: &mut Child) {
     let deadline = Instant::now() + Duration::from_secs(600);
     loop {
-        if let Ok(text) = std::fs::read_to_string(ckpt) {
-            if epochs_done(&text).is_some_and(|n| n >= min_epochs) {
-                return;
-            }
+        if TrainCheckpoint::load(ckpt).is_ok_and(|cp| cp.epochs_done >= min_epochs) {
+            return;
         }
         if let Some(status) = child.try_wait().unwrap() {
             panic!("training exited before it could be killed: {status:?}");
@@ -114,7 +102,7 @@ fn kill_and_resume_is_byte_identical(variant: &str) {
     args.extend(["--checkpoint-dir".to_string(), ck.to_str().unwrap().to_string()]);
     let mut child =
         bin().args(&args).stdout(Stdio::null()).stderr(Stdio::null()).spawn().expect("spawn rtp");
-    wait_for_epochs(&ck.join("checkpoint.json"), seeded_kill_epoch(), &mut child);
+    wait_for_epochs(&ck, seeded_kill_epoch(), &mut child);
     child.kill().expect("kill child");
     child.wait().expect("reap child");
     assert!(!victim_out.exists(), "killed run must not have written a model");
@@ -175,9 +163,22 @@ fn corrupt_or_missing_checkpoints_fail_loudly() {
     // garbage contents
     let garbage = dir.join("garbage-ck");
     std::fs::create_dir_all(&garbage).unwrap();
-    std::fs::write(garbage.join("checkpoint.json"), "{\"version\": 1, \"trunca").unwrap();
+    std::fs::write(garbage.join(CHECKPOINT_FILE), "{\"version\": 1, \"trunca").unwrap();
     let err = try_resume(&garbage);
     assert!(err.contains("not a valid checkpoint"), "{err}");
+
+    // one flipped byte in a real checkpoint
+    let flipped = dir.join("flipped-ck");
+    let mut args = train_args(&ds, "full", "1", &dir.join("m.json"));
+    args.extend(["--checkpoint-dir".to_string(), flipped.to_str().unwrap().to_string()]);
+    run_ok(&args);
+    let file = flipped.join(CHECKPOINT_FILE);
+    let mut bytes = std::fs::read(&file).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&file, &bytes).unwrap();
+    let err = try_resume(&flipped);
+    assert!(err.contains("corrupt checkpoint"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

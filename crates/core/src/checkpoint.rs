@@ -24,6 +24,24 @@
 //! float round-trip — and because `best_score` starts at `-inf`,
 //! which JSON cannot represent at all.
 //!
+//! The file is one binary container, `checkpoint.bin`:
+//!
+//! | bytes | content |
+//! |---|---|
+//! | 8 | magic bytes `RTPCKPT\0` |
+//! | 8 | header length `H`, u64 little-endian |
+//! | `H` | JSON header: the tensor shapes, then every other field |
+//! | 4 per float | weights, best snapshot, Adam `m`, Adam `v`, raw f32 LE |
+//! | 8 | FNV-1a checksum of everything before it, u64 LE |
+//!
+//! Raw floats keep every bit (`-0.0`, subnormals, infinities, NaN
+//! payloads), and writing them costs a copy instead of a decimal
+//! rendering per float. [`TrainCheckpoint::load`] checks the magic
+//! bytes, the length and the checksum before it parses anything, and
+//! the header's shapes against the bytes present before it allocates,
+//! so a truncated, bit-flipped or hostile file is
+//! [`CheckpointError::Corrupt`], never a panic or a misread.
+//!
 //! Files are written via [`rtp_obs::fsio::write_atomic`] (write temp →
 //! fsync → rename), so a kill at any instant leaves either the
 //! previous complete checkpoint or the new complete one on disk,
@@ -41,16 +59,29 @@ use crate::config::ModelConfig;
 use crate::trainer::{EpochStats, TrainConfig};
 
 /// Format version of [`TrainCheckpoint`]. Bumped on any change to the
-/// captured state; resume refuses other versions rather than guessing.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// captured state or its file layout; resume refuses other versions
+/// rather than guessing.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// File name of the latest checkpoint inside a checkpoint directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
+pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
+
+/// First bytes of every checkpoint file.
+const MAGIC: &[u8; 8] = b"RTPCKPT\0";
+
+/// Bytes of the container around the header and the floats: magic,
+/// header length and checksum.
+const FRAME: usize = MAGIC.len() + 8 + 8;
+
+/// FNV-1a offset basis and prime, shared by the checkpoint checksum and
+/// [`dataset_fingerprint`].
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Where (and whether) [`crate::Trainer`] persists per-epoch state.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
-    /// Directory holding `checkpoint.json` (created if missing).
+    /// Directory holding `checkpoint.bin` (created if missing).
     pub dir: PathBuf,
     /// Restore the latest checkpoint in `dir` and continue from it
     /// instead of training from scratch. Fails with a clear error if
@@ -161,24 +192,23 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
-    /// Atomically writes this checkpoint as `dir/checkpoint.json`,
-    /// creating `dir` if needed. Returns the serialized size in bytes.
+    /// Atomically writes this checkpoint as `dir/checkpoint.bin`,
+    /// creating `dir` if needed. Returns the file size in bytes.
     pub fn save(&self, dir: &Path) -> Result<usize, CheckpointError> {
         std::fs::create_dir_all(dir)?;
-        let json = serde_json::to_string(self)
-            .map_err(|e| CheckpointError::Corrupt(format!("serialise failed: {e}")))?;
-        rtp_obs::fsio::write_atomic_str(&dir.join(CHECKPOINT_FILE), &json)?;
-        Ok(json.len())
+        let bytes = self.encode();
+        rtp_obs::fsio::write_atomic(&dir.join(CHECKPOINT_FILE), &bytes)?;
+        Ok(bytes.len())
     }
 
-    /// Loads and structurally validates `dir/checkpoint.json`.
+    /// Loads and structurally validates `dir/checkpoint.bin`.
     ///
-    /// A missing file, unparseable JSON, a wrong version or internally
-    /// inconsistent state all produce a descriptive error — resume
-    /// must fail loudly rather than train from garbage.
+    /// A missing file, a damaged container, a wrong version or
+    /// internally inconsistent state all produce a descriptive error —
+    /// resume must fail loudly rather than train from garbage.
     pub fn load(dir: &Path) -> Result<Self, CheckpointError> {
         let path = dir.join(CHECKPOINT_FILE);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
+        let bytes = std::fs::read(&path).map_err(|e| {
             if e.kind() == io::ErrorKind::NotFound {
                 CheckpointError::Corrupt(format!(
                     "no checkpoint found at {} (nothing to resume from)",
@@ -188,9 +218,9 @@ impl TrainCheckpoint {
                 CheckpointError::Io(e)
             }
         })?;
-        let cp: TrainCheckpoint = serde_json::from_str(&text).map_err(|e| {
+        let cp = Self::decode(&bytes).map_err(|m| {
             CheckpointError::Corrupt(format!(
-                "{}: not a valid checkpoint (truncated or hand-edited?): {e}",
+                "{}: not a valid checkpoint (truncated or hand-edited?): {m}",
                 path.display()
             ))
         })?;
@@ -204,6 +234,97 @@ impl TrainCheckpoint {
         }
         cp.validate_internal()
             .map_err(|m| CheckpointError::Corrupt(format!("{}: {m}", path.display())))?;
+        Ok(cp)
+    }
+
+    /// The four tensor sets in file order.
+    fn tensor_sets(&self) -> [&Vec<Vec<f32>>; 4] {
+        [&self.weights, &self.best_snapshot, &self.adam.m, &self.adam.v]
+    }
+
+    /// The container bytes of this checkpoint (see the module docs).
+    fn encode(&self) -> Vec<u8> {
+        let sets = self.tensor_sets();
+        let shapes = sets.map(|set| set.iter().map(Vec::len).collect::<Vec<_>>());
+        // Every field but the tensor sets, which follow as raw floats.
+        let head = TrainCheckpoint {
+            train_config: self.train_config.clone(),
+            model_config: self.model_config.clone(),
+            indices: self.indices.clone(),
+            adam: AdamState { m: Vec::new(), v: Vec::new(), ..self.adam },
+            weights: Vec::new(),
+            best_snapshot: Vec::new(),
+            history: self.history.clone(),
+            ..*self
+        };
+        let header = serde_json::to_string(&(&shapes, &head))
+            .expect("a checkpoint header always serialises");
+        let floats: usize = shapes.iter().flatten().sum();
+        let mut buf = Vec::with_capacity(FRAME + header.len() + 4 * floats);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&(header.len() as u64).to_le_bytes());
+        buf.extend_from_slice(header.as_bytes());
+        // Fill a zeroed block tensor by tensor: a fixed-size loop the
+        // compiler vectorises, unlike one growing push per float.
+        let mut at = buf.len();
+        buf.resize(at + 4 * floats, 0);
+        for tensor in sets.into_iter().flatten() {
+            let end = at + 4 * tensor.len();
+            for (b, x) in buf[at..end].chunks_exact_mut(4).zip(tensor) {
+                b.copy_from_slice(&x.to_le_bytes());
+            }
+            at = end;
+        }
+        let sum = checksum(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    /// Parses container bytes, checking the frame and checksum before
+    /// the header, and the header's shapes against the bytes present
+    /// before allocating any tensor.
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
+        if !bytes.starts_with(MAGIC) {
+            return Err("no checkpoint magic bytes".into());
+        }
+        if bytes.len() < FRAME {
+            return Err(format!("{} bytes end inside the container frame", bytes.len()));
+        }
+        let (body, sum) = bytes.split_at(bytes.len() - 8);
+        if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+            return Err("checksum mismatch".into());
+        }
+        let (len, rest) = body[MAGIC.len()..].split_at(8);
+        let len = u64::from_le_bytes(len.try_into().expect("8 bytes"));
+        let header_len = usize::try_from(len)
+            .ok()
+            .filter(|&n| n <= rest.len())
+            .ok_or_else(|| format!("header length {len} exceeds the file"))?;
+        let (header, payload) = rest.split_at(header_len);
+        let header = std::str::from_utf8(header).map_err(|e| format!("header: {e}"))?;
+        let (shapes, mut cp): ([Vec<usize>; 4], TrainCheckpoint) =
+            serde_json::from_str(header).map_err(|e| format!("header: {e}"))?;
+        let floats = shapes.iter().flatten().try_fold(0usize, |total, &n| total.checked_add(n));
+        if floats.and_then(|n| n.checked_mul(4)) != Some(payload.len()) {
+            return Err(format!(
+                "header shapes do not match the {} bytes of tensor data",
+                payload.len()
+            ));
+        }
+        let mut unread = payload;
+        let [weights, best, m, v] = shapes.map(|lens| {
+            lens.iter()
+                .map(|&n| {
+                    let (tensor, tail) = unread.split_at(4 * n);
+                    unread = tail;
+                    tensor
+                        .chunks_exact(4)
+                        .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+                        .collect()
+                })
+                .collect::<Vec<Vec<f32>>>()
+        });
+        (cp.weights, cp.best_snapshot, cp.adam.m, cp.adam.v) = (weights, best, m, v);
         Ok(cp)
     }
 
@@ -227,6 +348,10 @@ impl TrainCheckpoint {
                     b.len()
                 ));
             }
+        }
+        let (m, v) = (&self.adam.m, &self.adam.v);
+        if m.len() != v.len() || m.iter().zip(v).any(|(m, v)| m.len() != v.len()) {
+            return Err("Adam moment buffers are internally inconsistent".into());
         }
         if self.epochs_done == 0 {
             return Err("checkpoint claims zero completed epochs".into());
@@ -334,11 +459,11 @@ fn trajectory_fields(c: &TrainConfig) -> Vec<(&'static str, String)> {
 /// Collisions are astronomically unlikely for the failure mode this
 /// guards (accidentally pointing `--resume` at a different dataset).
 pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
             h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
     };
     eat(serde_json::to_string(&dataset.config).unwrap_or_default().as_bytes());
@@ -350,6 +475,22 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
         dataset.city.aois.len(),
     ] {
         eat(&(n as u64).to_le_bytes());
+    }
+    h
+}
+
+/// FNV-1a over `bytes`, fed one little-endian u64 word at a time (the
+/// tail byte by byte): eight times fewer multiplies than byte-wise
+/// FNV-1a. Each step is a bijection of the running state, so changing
+/// any single byte changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = FNV_OFFSET;
+    for w in &mut words {
+        h = (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes"))).wrapping_mul(FNV_PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -422,10 +563,116 @@ mod tests {
         let cp = minimal_checkpoint();
         cp.save(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
-        let full = std::fs::read_to_string(&path).unwrap();
+        let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         let err = TrainCheckpoint::load(&dir).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `bytes` as the checkpoint file of `dir` and loads it.
+    fn load_bytes(dir: &Path, bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
+        std::fs::write(dir.join(CHECKPOINT_FILE), bytes).unwrap();
+        TrainCheckpoint::load(dir)
+    }
+
+    #[test]
+    fn round_trip_keeps_every_float_bit() {
+        let dir = tmpdir("bits");
+        let specials = [
+            -0.0f32,
+            f32::from_bits(1), // smallest subnormal
+            f32::MIN_POSITIVE / 3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234), // NaN with a payload
+            f32::from_bits(0xffc0_0042), // negative NaN with a payload
+        ];
+        let reversed: Vec<f32> = specials.iter().rev().copied().collect();
+        let mut cp = minimal_checkpoint();
+        cp.weights = vec![specials.to_vec(), vec![]];
+        cp.best_snapshot = vec![reversed.clone(), vec![]];
+        cp.adam.m = vec![specials.to_vec(), vec![]];
+        cp.adam.v = vec![reversed, vec![]];
+        cp.save(&dir).unwrap();
+        let back = TrainCheckpoint::load(&dir).unwrap();
+        let bits = |cp: &TrainCheckpoint| -> Vec<u32> {
+            cp.tensor_sets().into_iter().flatten().flatten().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(back.tensor_sets().map(|set| set.len()), [2; 4]);
+        assert_eq!(bits(&back), bits(&cp));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_is_corrupt() {
+        let dir = tmpdir("flips");
+        let bytes = {
+            minimal_checkpoint().save(&dir).unwrap();
+            std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap()
+        };
+        let corrupt = |bad: &[u8], what: &str| match load_bytes(&dir, bad) {
+            Err(CheckpointError::Corrupt(m)) => {
+                assert!(m.contains("not a valid checkpoint"), "{what}: {m}")
+            }
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what} was accepted"),
+        };
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                corrupt(&bad, &format!("flipping bit {bit} of byte {i}"));
+            }
+        }
+        for len in 0..bytes.len() {
+            corrupt(&bytes[..len], &format!("truncating to {len} bytes"));
+        }
+        assert!(load_bytes(&dir, &bytes).is_ok(), "the intact file must still load");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn header_shapes_beyond_the_file_are_corrupt_before_allocation() {
+        let dir = tmpdir("shapes");
+        // A container with a valid checksum around any header.
+        let seal = |header: &str, payload: &[u8]| {
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&(header.len() as u64).to_le_bytes());
+            b.extend_from_slice(header.as_bytes());
+            b.extend_from_slice(payload);
+            let sum = checksum(&b);
+            b.extend_from_slice(&sum.to_le_bytes());
+            b
+        };
+        let mut cp = minimal_checkpoint();
+        cp.weights.clear();
+        cp.best_snapshot.clear();
+        let payload = [0u8; 16];
+        let honest = [vec![2], vec![2], vec![], vec![]];
+        let header = serde_json::to_string(&(&honest, &cp)).unwrap();
+        assert!(load_bytes(&dir, &seal(&header, &payload)).is_ok(), "the seal itself is valid");
+        for shapes in [
+            [vec![1usize << 61], vec![1 << 61], vec![], vec![]], // 2^63 bytes
+            [vec![1usize << 62], vec![], vec![], vec![]],        // 4 × floats overflows
+            [vec![usize::MAX], vec![1], vec![], vec![]],         // the float count overflows
+            [vec![2], vec![2], vec![1], vec![]],                 // 5 floats, 16 bytes
+            [vec![2], vec![1], vec![], vec![]],                  // 3 floats, 16 bytes
+        ] {
+            let header = serde_json::to_string(&(&shapes, &cp)).unwrap();
+            let err = load_bytes(&dir, &seal(&header, &payload)).unwrap_err();
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "{shapes:?}: {err}");
+            assert!(err.to_string().contains("header shapes"), "{shapes:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_json_checkpoint_is_not_read() {
+        let dir = tmpdir("json");
+        std::fs::write(dir.join("checkpoint.json"), "{\"version\": 1}").unwrap();
+        let err = TrainCheckpoint::load(&dir).unwrap_err();
+        assert!(err.to_string().contains("nothing to resume from"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -454,6 +701,14 @@ mod tests {
         cp.save(&dir).unwrap();
         let err = TrainCheckpoint::load(&dir).unwrap_err();
         assert!(err.to_string().contains("RNG state"), "{err}");
+
+        let mut cp = minimal_checkpoint();
+        cp.adam.m = vec![vec![0.0; 2]];
+        cp.adam.v = vec![vec![0.0; 1]];
+        cp.save(&dir).unwrap();
+        let err = TrainCheckpoint::load(&dir).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("Adam moment"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -726,13 +726,16 @@ impl SavedModel {
     }
 
     /// The load rules every servable snapshot must meet: it carries a
-    /// feature pipeline (a server cannot build graphs without one), and
-    /// its weights match `store`'s layout tensor by tensor, so the
-    /// restore in [`M2G4Rtp::from_saved`] cannot panic.
+    /// feature pipeline (a server cannot build graphs without one)
+    /// whose scaler has statistics for every feature column, and its
+    /// weights match `store`'s layout tensor by tensor, so neither the
+    /// restore in [`M2G4Rtp::from_saved`] nor the first graph build can
+    /// panic.
     fn check_servable(&self, store: &ParamStore) -> Result<(), String> {
-        if self.graph_config.is_none() || self.scaler.is_none() {
+        let (Some(_), Some(scaler)) = (&self.graph_config, &self.scaler) else {
             return Err("model has no feature pipeline (graph config + scaler)".into());
-        }
+        };
+        scaler.check()?;
         if self.weights.len() != store.len() {
             return Err(format!(
                 "model holds {} weight tensors but its architecture has {}",

@@ -120,6 +120,11 @@ pub struct TrainReport {
     /// (excludes graph prep and validation) — the quantity the
     /// `training_throughput` bench divides samples by.
     pub train_loop_seconds: f64,
+    /// Wall-clock seconds spent building and durably writing this
+    /// call's checkpoints (the `train.checkpoint` blocks); 0 without
+    /// checkpointing. Unlike `train_seconds` it is not carried across
+    /// a resume.
+    pub checkpoint_seconds: f64,
 }
 
 /// Fits an [`M2G4Rtp`] model on a dataset.
@@ -153,7 +158,7 @@ impl Trainer {
     /// With `ckpt` set, the full training state — weights, Adam
     /// moments + step count, shuffle RNG state and current
     /// permutation, epoch index, best-snapshot/patience bookkeeping —
-    /// is written atomically to `ckpt.dir/checkpoint.json` after every
+    /// is written atomically to `ckpt.dir/checkpoint.bin` after every
     /// epoch. With `ckpt.resume`, that state is restored and the epoch
     /// loop continues where it left off, including mid-warm-up and
     /// across the two-step phase-A/phase-B boundary.
@@ -222,6 +227,7 @@ impl Trainer {
 
         let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
         let mut train_loop_seconds = 0.0f64;
+        let mut checkpoint_seconds = 0.0f64;
         let mut prior_train_seconds = 0.0f64;
         let mut start_epoch = 0usize;
         let mut stopped_early = false;
@@ -230,13 +236,6 @@ impl Trainer {
             if o.resume {
                 let cp = TrainCheckpoint::load(&o.dir)?;
                 cp.validate_against(&self.config, model.config(), &model.store, dataset)?;
-                if cp.adam.m.len() != cp.adam.v.len()
-                    || cp.adam.m.iter().zip(&cp.adam.v).any(|(m, v)| m.len() != v.len())
-                {
-                    return Err(CheckpointError::Corrupt(
-                        "Adam moment buffers are internally inconsistent".into(),
-                    ));
-                }
                 let restored = Adam::from_state(cp.adam);
                 if !restored.matches_store(&model.store) {
                     return Err(CheckpointError::Mismatch(
@@ -382,6 +381,7 @@ impl Trainer {
             }
 
             if let Some(o) = ckpt {
+                let ckpt_start = std::time::Instant::now();
                 let bytes = {
                     let _ckpt_span = rtp_obs::span!("train.checkpoint", epoch);
                     TrainCheckpoint {
@@ -406,6 +406,7 @@ impl Trainer {
                     }
                     .save(&o.dir)?
                 };
+                checkpoint_seconds += ckpt_start.elapsed().as_secs_f64();
                 g_ckpt_bytes.set(bytes as f64);
                 if o.stop_after_epoch == Some(epoch) {
                     // Simulated crash: abandon the run right after the
@@ -418,6 +419,7 @@ impl Trainer {
                         history,
                         train_seconds: prior_train_seconds + start.elapsed().as_secs_f64(),
                         train_loop_seconds,
+                        checkpoint_seconds,
                     });
                 }
             }
@@ -439,6 +441,7 @@ impl Trainer {
             history,
             train_seconds: prior_train_seconds + start.elapsed().as_secs_f64(),
             train_loop_seconds,
+            checkpoint_seconds,
         })
     }
 }

@@ -4,6 +4,7 @@ use rtp_sim::{Courier, Dataset};
 use serde::{Deserialize, Serialize};
 
 use crate::builder::{GraphBuilder, MultiLevelGraph};
+use crate::{AOI_CONT_DIM, GLOBAL_CONT_DIM, LOC_CONT_DIM};
 
 /// Per-column mean/std statistics for one feature family.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -109,6 +110,29 @@ impl FeatureScaler {
         Self { loc, aoi, loc_edge, aoi_edge, global }
     }
 
+    /// Checks that every column family holds one mean and one std per
+    /// feature column the graph builder emits, so [`FeatureScaler::apply`]
+    /// cannot index past them. A scaler read from disk must pass this
+    /// before it scales a graph.
+    pub fn check(&self) -> Result<(), String> {
+        let families = [
+            ("loc", &self.loc, LOC_CONT_DIM),
+            ("aoi", &self.aoi, AOI_CONT_DIM),
+            ("loc_edge", &self.loc_edge, 2),
+            ("aoi_edge", &self.aoi_edge, 2),
+            ("global", &self.global, GLOBAL_CONT_DIM),
+        ];
+        for (name, stats, want) in families {
+            let (mean, std) = (stats.mean.len(), stats.std.len());
+            if mean != want || std != want {
+                return Err(format!(
+                    "feature scaler `{name}` holds {mean} means and {std} stds, want {want} of each"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Standardises a graph in place.
     pub fn apply(&self, g: &mut MultiLevelGraph) {
         self.loc.apply(&mut g.locations.cont);
@@ -172,6 +196,16 @@ mod tests {
         let after: Vec<f32> = g.locations.edge.chunks(g.locations.edge_dim).map(|c| c[2]).collect();
         assert_eq!(before, after);
         assert!(after.iter().all(|&v| v == 0.0 || v == 1.0));
+    }
+
+    #[test]
+    fn check_accepts_fitted_scalers_and_names_short_families() {
+        let d = DatasetBuilder::new(DatasetConfig::tiny(34)).build();
+        let mut scaler = FeatureScaler::fit(&d, &GraphBuilder::new(GraphConfig::default()));
+        assert_eq!(scaler.check(), Ok(()));
+        scaler.global.std.pop();
+        let err = scaler.check().unwrap_err();
+        assert!(err.contains("`global` holds 4 means and 3 stds"), "{err}");
     }
 
     #[test]

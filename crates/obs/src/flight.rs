@@ -234,10 +234,18 @@ mod tests {
     use super::*;
 
     // The recorder is process state shared with other tests in this
-    // binary, so assertions are containment, not exact counts.
+    // binary, so assertions are containment, not exact counts. Every
+    // test that sets the on/off flag holds `FLAG`, so switching the
+    // recorder off briefly cannot drop another test's events.
+    static FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn hold_flag() -> std::sync::MutexGuard<'static, ()> {
+        FLAG.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_recorder_skips_detail_closure() {
+        let _flag = hold_flag();
         // Another test may have enabled the recorder; force off briefly.
         let was = enabled();
         set_enabled(false);
@@ -252,6 +260,7 @@ mod tests {
 
     #[test]
     fn records_wrap_and_survive_in_snapshot() {
+        let _flag = hold_flag();
         set_enabled(true);
         for i in 0..(CAPACITY + 5) {
             record(Kind::Request, "flight.test.wrap", 1000 + i as u64, || format!("i={i}"));
@@ -268,6 +277,7 @@ mod tests {
 
     #[test]
     fn cross_thread_events_all_land_in_snapshot() {
+        let _flag = hold_flag();
         set_enabled(true);
         let handles: Vec<_> = (0..3)
             .map(|t| {
@@ -321,6 +331,7 @@ mod tests {
 
     #[test]
     fn dump_writes_jsonl_file() {
+        let _flag = hold_flag();
         set_enabled(true);
         record(Kind::Panic, "flight.test.dump", 555, || "dump me".to_string());
         let path =
