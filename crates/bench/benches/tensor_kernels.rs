@@ -1,16 +1,21 @@
 //! Matmul-kernel and op micro-benchmarks for the tensor engine's hot
 //! loop.
 //!
-//! Three measurements, written to `results/tensor_kernels.json`:
+//! Four measurements, written to `results/tensor_kernels.json`:
 //!
 //! 1. **Kernel sweep** — square-matmul GFLOP-rate of the blocked,
 //!    B-packed forward kernel vs the naive reference and both backward
-//!    accumulation kernels, at n ∈ {16, 32, 64, 128, 256}.
-//! 2. **Op timings** — per-call cost of the two non-matmul ops the
+//!    accumulation kernels, at n ∈ {16, 32, 64, 128, 256}. `perf_gate`
+//!    checks these 20 numbers against the baseline.
+//! 2. **Row-vector products** — `kernels::matmul` vs `matmul_naive` on
+//!    the one-row shapes every decoder step multiplies (LSTM gates and
+//!    the attention query of the served configuration), in ns per
+//!    call. Recorded, not gated.
+//! 3. **Op timings** — per-call cost of the two non-matmul ops the
 //!    decoders lean on (masked row softmax, one LSTM step), each on one
 //!    tape cleared between calls, output allocation included as in a
 //!    real forward.
-//! 3. **Op profile** — the per-op call/flop/byte counters the tensor
+//! 4. **Op profile** — the per-op call/flop/byte counters the tensor
 //!    layer publishes to the global metrics registry, accumulated over
 //!    a batch of real end-to-end predictions, so the bench records
 //!    *where* the model's arithmetic actually goes.
@@ -106,6 +111,44 @@ fn kernel_sweep() -> Vec<KernelRow> {
         .collect()
 }
 
+/// The decoders' row-vector products `[1,k] @ [k,c]` in the served
+/// configuration (d_loc = d_aoi = 48, d_pos = 8): LSTM gates over the
+/// recurrent state (k = 48), the SortLSTM inputs (k = 56, 65), the
+/// location route decoder's input (k = 57), all with c = 4·48, and the
+/// attention query `W_query [h‖u]` (k = 59, c = 48).
+const ROW_VECTOR_SHAPES: [(usize, usize); 5] =
+    [(48, 192), (56, 192), (57, 192), (65, 192), (59, 48)];
+
+struct RowVectorRow {
+    k: usize,
+    c: usize,
+    naive_ns: f64,
+    kernel_ns: f64,
+}
+
+fn row_vector_sweep() -> Vec<RowVectorRow> {
+    ROW_VECTOR_SHAPES
+        .iter()
+        .map(|&(k, c)| {
+            let mut a = vec![0.0f32; k];
+            let mut b = vec![0.0f32; k * c];
+            let mut out = vec![0.0f32; c];
+            fill(&mut a, 3 + k as u32);
+            fill(&mut b, 4 + c as u32);
+            let naive = time_per_call(|| kernels::matmul_naive(&a, &b, &mut out, 1, k, c));
+            let kernel = time_per_call(|| kernels::matmul(&a, &b, &mut out, 1, k, c));
+            let row = RowVectorRow { k, c, naive_ns: naive * 1e9, kernel_ns: kernel * 1e9 };
+            println!(
+                "[1,{k}] x [{k},{c}]: naive {:>7.1} ns  kernel {:>7.1} ns  ({:.2}x)",
+                row.naive_ns,
+                row.kernel_ns,
+                naive / kernel
+            );
+            row
+        })
+        .collect()
+}
+
 /// Microseconds per call of `masked_softmax_rows` on an n×n block
 /// (n ∈ {10, 20, 40}, a third of the entries masked) and of one 32-wide
 /// LSTM step. Inputs live in a `ParamStore` and are loaded with
@@ -176,6 +219,8 @@ fn op_profile() -> (usize, Vec<String>) {
 fn main() {
     println!("== matmul kernel sweep ==");
     let rows = kernel_sweep();
+    println!("== row-vector products ==");
+    let row_vectors = row_vector_sweep();
     println!("== op timings ==");
     let ops = op_timings();
     println!("== op profile ==");
@@ -191,12 +236,26 @@ fn main() {
             )
         })
         .collect();
+    let row_vector_entries: Vec<String> = row_vectors
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"k\": {}, \"c\": {}, \"naive_ns\": {:.1}, \"kernel_ns\": {:.1}, \"speedup\": {:.3}}}",
+                r.k,
+                r.c,
+                r.naive_ns,
+                r.kernel_ns,
+                r.naive_ns / r.kernel_ns
+            )
+        })
+        .collect();
     let op_entries: Vec<String> =
         ops.iter().map(|(name, us)| format!("    \"{name}\": {us:.3}")).collect();
     let json = format!(
-        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"op_timings\": {{\n{}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"tensor_kernels\",\n  \"bench_meta\": {},\n  \"matmul_sweep\": [\n{}\n  ],\n  \"row_vector\": [\n{}\n  ],\n  \"op_timings\": {{\n{}\n  }},\n  \"op_profile\": {{\n    \"queries\": {profile_queries},\n{}\n  }}\n}}\n",
         bench_meta_json(),
         entries.join(",\n"),
+        row_vector_entries.join(",\n"),
         op_entries.join(",\n"),
         profile_lines.join(",\n"),
     );

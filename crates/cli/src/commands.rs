@@ -349,16 +349,26 @@ mod tests {
         let mut no_pipeline = saved.clone();
         no_pipeline.graph_config = None;
         no_pipeline.scaler = None;
-        // The scaler's statistics are private, so empty one through the
-        // serialised form.
+        // The scaler's statistics are private, so edit them through the
+        // serialised form: empty one mean vector, or zero every std,
+        // which would scale every feature to NaN or ±∞.
+        fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+            let serde::Value::Object(fields) = v else { panic!("`{key}`'s parent") };
+            &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
         let short_scaler: SavedModel = {
-            fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
-                let serde::Value::Object(fields) = v else { panic!("`{key}`'s parent") };
-                &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
-            }
             let mut v = serde::Serialize::to_value(&saved);
             *field(field(field(&mut v, "scaler"), "loc_edge"), "mean") =
                 serde::Value::Array(vec![]);
+            serde::Deserialize::from_value(&v).unwrap()
+        };
+        let zero_std_scaler: SavedModel = {
+            let mut v = serde::Serialize::to_value(&saved);
+            for family in ["loc", "aoi", "loc_edge", "aoi_edge", "global"] {
+                let std = field(field(field(&mut v, "scaler"), family), "std");
+                let serde::Value::Array(cols) = std else { panic!("`{family}.std`") };
+                cols.iter_mut().for_each(|c| *c = serde::Serialize::to_value(&0.0f32));
+            }
             serde::Deserialize::from_value(&v).unwrap()
         };
         let mut bad_config = saved;
@@ -371,6 +381,11 @@ mod tests {
                 "short_scaler.json",
                 short_scaler,
                 "feature scaler `loc_edge` holds 0 means and 2 stds",
+            ),
+            (
+                "zero_std_scaler.json",
+                zero_std_scaler,
+                "feature scaler `loc` column 0: std 0 is not finite and positive",
             ),
         ];
         for (name, model, want) in cases {

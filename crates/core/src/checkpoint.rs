@@ -141,6 +141,15 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+/// The four tensor sets of a checkpoint in file order — weights, best
+/// snapshot, Adam `m`, Adam `v` — borrowed from wherever they live.
+pub(crate) type TensorSets<'a> = [Vec<&'a [f32]>; 4];
+
+/// Borrows every tensor of `set`, as one entry of [`TensorSets`].
+pub(crate) fn borrow_set(set: &[Vec<f32>]) -> Vec<&[f32]> {
+    set.iter().map(Vec::as_slice).collect()
+}
+
 /// The complete mid-run training state, serialised once per epoch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainCheckpoint {
@@ -195,8 +204,23 @@ impl TrainCheckpoint {
     /// Atomically writes this checkpoint as `dir/checkpoint.bin`,
     /// creating `dir` if needed. Returns the file size in bytes.
     pub fn save(&self, dir: &Path) -> Result<usize, CheckpointError> {
+        Self::save_parts(dir, &self.head(), self.tensor_sets().map(|set| borrow_set(set)))
+    }
+
+    /// Atomically writes the checkpoint made of `head`, which carries
+    /// every field but the tensor sets and leaves those empty, and of
+    /// the borrowed `sets`, as `dir/checkpoint.bin`; the bytes equal
+    /// [`TrainCheckpoint::save`]'s for the same state. The trainer
+    /// writes each epoch's checkpoint this way, straight from its
+    /// store, best snapshot and optimizer, without copying them.
+    /// Returns the file size in bytes.
+    pub(crate) fn save_parts(
+        dir: &Path,
+        head: &TrainCheckpoint,
+        sets: TensorSets<'_>,
+    ) -> Result<usize, CheckpointError> {
         std::fs::create_dir_all(dir)?;
-        let bytes = self.encode();
+        let bytes = encode(head, &sets);
         rtp_obs::fsio::write_atomic(&dir.join(CHECKPOINT_FILE), &bytes)?;
         Ok(bytes.len())
     }
@@ -242,12 +266,10 @@ impl TrainCheckpoint {
         [&self.weights, &self.best_snapshot, &self.adam.m, &self.adam.v]
     }
 
-    /// The container bytes of this checkpoint (see the module docs).
-    fn encode(&self) -> Vec<u8> {
-        let sets = self.tensor_sets();
-        let shapes = sets.map(|set| set.iter().map(Vec::len).collect::<Vec<_>>());
-        // Every field but the tensor sets, which follow as raw floats.
-        let head = TrainCheckpoint {
+    /// Every field of this checkpoint but the tensor sets, which stay
+    /// empty: what the container's JSON header holds.
+    fn head(&self) -> TrainCheckpoint {
+        TrainCheckpoint {
             train_config: self.train_config.clone(),
             model_config: self.model_config.clone(),
             indices: self.indices.clone(),
@@ -256,28 +278,7 @@ impl TrainCheckpoint {
             best_snapshot: Vec::new(),
             history: self.history.clone(),
             ..*self
-        };
-        let header = serde_json::to_string(&(&shapes, &head))
-            .expect("a checkpoint header always serialises");
-        let floats: usize = shapes.iter().flatten().sum();
-        let mut buf = Vec::with_capacity(FRAME + header.len() + 4 * floats);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&(header.len() as u64).to_le_bytes());
-        buf.extend_from_slice(header.as_bytes());
-        // Fill a zeroed block tensor by tensor: a fixed-size loop the
-        // compiler vectorises, unlike one growing push per float.
-        let mut at = buf.len();
-        buf.resize(at + 4 * floats, 0);
-        for tensor in sets.into_iter().flatten() {
-            let end = at + 4 * tensor.len();
-            for (b, x) in buf[at..end].chunks_exact_mut(4).zip(tensor) {
-                b.copy_from_slice(&x.to_le_bytes());
-            }
-            at = end;
         }
-        let sum = checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
     }
 
     /// Parses container bytes, checking the frame and checksum before
@@ -452,6 +453,35 @@ fn trajectory_fields(c: &TrainConfig) -> Vec<(&'static str, String)> {
         ("route_warmup_frac", c.route_warmup_frac.to_bits().to_string()),
         ("seed", c.seed.to_string()),
     ]
+}
+
+/// The container bytes of a checkpoint (see the module docs): `head`,
+/// whose own tensor sets are empty, as the JSON header, then `sets` as
+/// raw floats.
+fn encode(head: &TrainCheckpoint, sets: &TensorSets<'_>) -> Vec<u8> {
+    debug_assert!(head.tensor_sets().iter().all(|set| set.is_empty()), "tensors in the header");
+    let shapes = sets.each_ref().map(|set| set.iter().map(|t| t.len()).collect::<Vec<_>>());
+    let header =
+        serde_json::to_string(&(&shapes, head)).expect("a checkpoint header always serialises");
+    let floats: usize = shapes.iter().flatten().sum();
+    let mut buf = Vec::with_capacity(FRAME + header.len() + 4 * floats);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    buf.extend_from_slice(header.as_bytes());
+    // Fill a zeroed block tensor by tensor: a fixed-size loop the
+    // compiler vectorises, unlike one growing push per float.
+    let mut at = buf.len();
+    buf.resize(at + 4 * floats, 0);
+    for tensor in sets.iter().flatten() {
+        let end = at + 4 * tensor.len();
+        for (b, x) in buf[at..end].chunks_exact_mut(4).zip(tensor.iter()) {
+            b.copy_from_slice(&x.to_le_bytes());
+        }
+        at = end;
+    }
+    let sum = checksum(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    buf
 }
 
 /// A stable fingerprint of the training data: FNV-1a over the dataset

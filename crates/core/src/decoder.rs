@@ -39,8 +39,12 @@ impl RouteDecoder {
         }
     }
 
-    /// Computes the pointer logits `[1, n]` for one step.
-    fn step_logits(
+    /// Scores the candidates whose projected keys are the rows of
+    /// `keys` (`[m, d_att]`) against the state `h`: the column `[m, 1]`
+    /// of `vᵀ tanh(key + W_query [h‖u])`. Each row's score depends on
+    /// that row alone, so scoring a subset of the keys gives the same
+    /// bits for it as scoring them all.
+    fn scores(
         &self,
         t: &mut Tape,
         store: &ParamStore,
@@ -50,10 +54,23 @@ impl RouteDecoder {
     ) -> TensorId {
         let hu = t.concat_cols(&[h, u]);
         let q = self.w_query.forward(t, store, hu); // [1, d_att]
-        let scores = t.add_row(keys, q); // [n, d_att]
+        let scores = t.add_row(keys, q); // [m, d_att]
         let scores = t.tanh(scores);
         let v = t.param(store, self.v);
-        let o = t.matmul(scores, v); // [n, 1]
+        t.matmul(scores, v) // [m, 1]
+    }
+
+    /// Computes the pointer logits `[1, n]` over every node for one
+    /// step; the caller masks the visited ones.
+    fn step_logits(
+        &self,
+        t: &mut Tape,
+        store: &ParamStore,
+        keys: TensorId,
+        h: TensorId,
+        u: TensorId,
+    ) -> TensorId {
+        let o = self.scores(t, store, keys, h, u);
         t.transpose(o) // [1, n]
     }
 
@@ -152,6 +169,19 @@ impl RouteDecoder {
     }
 
     /// Greedy decoding (Eq. 31): returns the predicted visit sequence.
+    ///
+    /// Each step scores only the still-unvisited candidates (their key
+    /// rows gathered in ascending node order) and emits the first
+    /// strict maximum, so the route is the one full masked scoring
+    /// would pick: a candidate's logit does not depend on which others
+    /// are scored. The state LSTM is not advanced after the last pick,
+    /// whose state nothing reads. [`RouteDecoder::train_loss`] and
+    /// [`RouteDecoder::decode_beam`] keep the masked scoring over all
+    /// `n` nodes, which their softmax needs.
+    ///
+    /// # Panics
+    /// Panics if no live candidate's logit compares greater than −∞
+    /// (NaN or −∞ scores, e.g. from non-finite inputs).
     pub fn decode(
         &self,
         t: &mut Tape,
@@ -162,24 +192,32 @@ impl RouteDecoder {
         let (n, _) = t.shape(x_in);
         let keys = self.w_node.forward(t, store, x_in);
         let mut state = self.lstm.zero_state(t);
-        let mut visited = vec![false; n];
+        let mut live: Vec<usize> = (0..n).collect();
         let mut route = Vec::with_capacity(n);
-        for _ in 0..n {
-            let logits = self.step_logits(t, store, keys, state.0, u);
-            let data = t.data(logits);
-            let mut best = usize::MAX;
+        while !live.is_empty() {
+            let live_keys = if live.len() == n { keys } else { t.gather_rows(keys, &live) };
+            let logits = self.scores(t, store, live_keys, state.0, u);
+            let mut best = None;
             let mut best_v = f32::NEG_INFINITY;
-            for (j, &v) in data.iter().enumerate() {
-                if !visited[j] && v > best_v {
+            for (slot, &v) in t.data(logits).iter().enumerate() {
+                if v > best_v {
                     best_v = v;
-                    best = j;
+                    best = Some(slot);
                 }
             }
-            debug_assert_ne!(best, usize::MAX);
-            visited[best] = true;
-            route.push(best);
-            let inp = t.row(x_in, best);
-            state = self.lstm.step(t, store, inp, state);
+            let slot = best.unwrap_or_else(|| {
+                panic!(
+                    "route decoder: none of {} live candidate logits exceeds -inf \
+                     (NaN or infinite scores from non-finite inputs)",
+                    live.len()
+                )
+            });
+            let node = live.remove(slot);
+            route.push(node);
+            if !live.is_empty() {
+                let inp = t.row(x_in, node);
+                state = self.lstm.step(t, store, inp, state);
+            }
         }
         route
     }
@@ -243,7 +281,80 @@ impl SortLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rtp_tensor::optim::{Adam, Optimizer};
+
+    /// Full-scoring greedy decoding, the oracle of
+    /// [`RouteDecoder::decode`]: every step scores all `n` nodes, skips
+    /// the visited ones while taking the first strict maximum, and
+    /// advances the state LSTM after every pick, the last included.
+    fn decode_full_scoring(
+        dec: &RouteDecoder,
+        t: &mut Tape,
+        store: &ParamStore,
+        x_in: TensorId,
+        u: TensorId,
+    ) -> Vec<usize> {
+        let (n, _) = t.shape(x_in);
+        let keys = dec.w_node.forward(t, store, x_in);
+        let mut state = dec.lstm.zero_state(t);
+        let mut visited = vec![false; n];
+        let mut route = Vec::with_capacity(n);
+        for _ in 0..n {
+            let logits = dec.step_logits(t, store, keys, state.0, u);
+            let data = t.data(logits);
+            let mut best = usize::MAX;
+            let mut best_v = f32::NEG_INFINITY;
+            for (j, &v) in data.iter().enumerate() {
+                if !visited[j] && v > best_v {
+                    best_v = v;
+                    best = j;
+                }
+            }
+            visited[best] = true;
+            route.push(best);
+            let inp = t.row(x_in, best);
+            state = dec.lstm.step(t, store, inp, state);
+        }
+        route
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn live_candidate_decode_matches_full_scoring(
+            n in 1usize..=12,
+            x in prop::collection::vec(-3.0f32..3.0, 12 * 6),
+            u in prop::collection::vec(-1.0f32..1.0, 3),
+            seed in any::<u64>(),
+        ) {
+            let mut store = ParamStore::new(seed);
+            let dec = RouteDecoder::new(&mut store, "d", 6, 3, 8, 8);
+            let run = |full: bool| {
+                let mut t = Tape::inference();
+                let xt = t.constant(n, 6, x[..n * 6].to_vec());
+                let ut = t.constant(1, 3, u.clone());
+                if full {
+                    decode_full_scoring(&dec, &mut t, &store, xt, ut)
+                } else {
+                    dec.decode(&mut t, &store, xt, ut)
+                }
+            };
+            prop_assert_eq!(run(false), run(true));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "live candidate logits exceeds -inf")]
+    fn decode_names_non_finite_logits() {
+        let mut store = ParamStore::new(6);
+        let dec = RouteDecoder::new(&mut store, "d", 4, 2, 8, 8);
+        let mut t = Tape::inference();
+        let x = t.constant(3, 4, vec![f32::NAN; 12]);
+        let u = t.constant(1, 2, vec![0.1, 0.2]);
+        dec.decode(&mut t, &store, x, u);
+    }
 
     #[test]
     fn route_decoder_emits_permutations() {

@@ -23,7 +23,8 @@ use rtp_tensor::{GradBuffer, Tape};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{
-    dataset_fingerprint, CheckpointError, CheckpointOptions, TrainCheckpoint, CHECKPOINT_VERSION,
+    borrow_set, dataset_fingerprint, CheckpointError, CheckpointOptions, TrainCheckpoint,
+    CHECKPOINT_VERSION,
 };
 use crate::config::Variant;
 use crate::model::M2G4Rtp;
@@ -384,7 +385,7 @@ impl Trainer {
                 let ckpt_start = std::time::Instant::now();
                 let bytes = {
                     let _ckpt_span = rtp_obs::span!("train.checkpoint", epoch);
-                    TrainCheckpoint {
+                    let head = TrainCheckpoint {
                         version: CHECKPOINT_VERSION,
                         train_config: self.config.clone(),
                         model_config: model.config().clone(),
@@ -393,9 +394,9 @@ impl Trainer {
                         stopped_early,
                         rng_state: rng.state(),
                         indices: indices.clone(),
-                        adam: opt.state(),
-                        weights: model.store.snapshot(),
-                        best_snapshot: best_snapshot.clone(),
+                        adam: opt.scalar_state(),
+                        weights: Vec::new(),
+                        best_snapshot: Vec::new(),
                         best_score_bits: best_score.to_bits(),
                         best_krc_bits: best_krc.to_bits(),
                         best_mae_bits: best_mae.to_bits(),
@@ -403,8 +404,13 @@ impl Trainer {
                         history: history.clone(),
                         train_seconds: prior_train_seconds + start.elapsed().as_secs_f64(),
                         train_loop_seconds,
-                    }
-                    .save(&o.dir)?
+                    };
+                    // The tensor sets are encoded where they live.
+                    let store = &model.store;
+                    let (m, v) = opt.moments();
+                    let weights = store.iter_ids().map(|id| store.data(id)).collect();
+                    let sets = [weights, borrow_set(&best_snapshot), borrow_set(m), borrow_set(v)];
+                    TrainCheckpoint::save_parts(&o.dir, &head, sets)?
                 };
                 checkpoint_seconds += ckpt_start.elapsed().as_secs_f64();
                 g_ckpt_bytes.set(bytes as f64);

@@ -12,7 +12,8 @@
 //! `crates/cli/tests/cli_resume.rs`.
 
 use m2g4rtp::{
-    CheckpointError, CheckpointOptions, M2G4Rtp, ModelConfig, TrainConfig, Trainer, Variant,
+    CheckpointError, CheckpointOptions, M2G4Rtp, ModelConfig, TrainCheckpoint, TrainConfig,
+    Trainer, Variant, CHECKPOINT_FILE,
 };
 use rtp_sim::{Dataset, DatasetBuilder, DatasetConfig};
 use std::path::PathBuf;
@@ -119,6 +120,27 @@ fn resume_after_early_stop_checkpoint_finalises_identically() {
     assert_eq!(report.epochs_run, ref_report.epochs_run, "resume trained past the early stop");
     assert_eq!(model_json(&reference), model_json(&resumed));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The trainer encodes each checkpoint straight from its store, best
+/// snapshot and optimizer; the owned [`TrainCheckpoint::save`] of the
+/// loaded state must write the very same bytes.
+#[test]
+fn trainer_checkpoint_equals_the_owned_save_of_its_state() {
+    let (d, cfg) = setup(Variant::Full);
+    let tc = TrainConfig { epochs: 3, patience: usize::MAX, ..TrainConfig::quick() };
+    let (dir, resaved) = (tmpdir("borrowed"), tmpdir("owned"));
+    let mut model = M2G4Rtp::new(cfg, 3);
+    Trainer::new(tc)
+        .fit_with_checkpoints(&mut model, &d, Some(&CheckpointOptions::new(&dir)))
+        .unwrap();
+    let written = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    let cp = TrainCheckpoint::load(&dir).unwrap();
+    assert!(cp.adam.t > 0 && !cp.adam.m.is_empty(), "the checkpoint must hold Adam moments");
+    cp.save(&resaved).unwrap();
+    assert!(written == std::fs::read(resaved.join(CHECKPOINT_FILE)).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&resaved).ok();
 }
 
 #[test]

@@ -112,7 +112,11 @@ impl FeatureScaler {
 
     /// Checks that every column family holds one mean and one std per
     /// feature column the graph builder emits, so [`FeatureScaler::apply`]
-    /// cannot index past them. A scaler read from disk must pass this
+    /// cannot index past them, and that every mean is finite and every
+    /// std finite and positive, so scaled features stay finite (a zero
+    /// std turns them into NaN or ±∞, which no decoder can rank).
+    /// Fitted scalers clamp each std at 1e-6, so a scaler fitted on
+    /// finite features passes. A scaler read from disk must pass this
     /// before it scales a graph.
     pub fn check(&self) -> Result<(), String> {
         let families = [
@@ -128,6 +132,18 @@ impl FeatureScaler {
                 return Err(format!(
                     "feature scaler `{name}` holds {mean} means and {std} stds, want {want} of each"
                 ));
+            }
+            for (k, (&m, &sd)) in stats.mean.iter().zip(&stats.std).enumerate() {
+                if !m.is_finite() {
+                    return Err(format!(
+                        "feature scaler `{name}` column {k}: mean {m} is not finite"
+                    ));
+                }
+                if !(sd.is_finite() && sd > 0.0) {
+                    return Err(format!(
+                        "feature scaler `{name}` column {k}: std {sd} is not finite and positive"
+                    ));
+                }
             }
         }
         Ok(())
@@ -203,9 +219,20 @@ mod tests {
         let d = DatasetBuilder::new(DatasetConfig::tiny(34)).build();
         let mut scaler = FeatureScaler::fit(&d, &GraphBuilder::new(GraphConfig::default()));
         assert_eq!(scaler.check(), Ok(()));
+        let fitted = scaler.clone();
         scaler.global.std.pop();
         let err = scaler.check().unwrap_err();
         assert!(err.contains("`global` holds 4 means and 3 stds"), "{err}");
+
+        let mut zero_std = fitted.clone();
+        zero_std.loc.std[3] = 0.0;
+        let err = zero_std.check().unwrap_err();
+        assert!(err.contains("`loc` column 3: std 0 is not finite and positive"), "{err}");
+
+        let mut nan_mean = fitted;
+        nan_mean.aoi_edge.mean[1] = f32::NAN;
+        let err = nan_mean.check().unwrap_err();
+        assert!(err.contains("`aoi_edge` column 1: mean NaN is not finite"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! * [`matmul`] — `out = A @ B` (overwrite), B packed into column
 //!   panels with a register-tile accumulator; full-width panels run
-//!   the AVX2 body in [`crate::simd`] when the CPU has it.
+//!   the AVX2 body in [`crate::simd`] when the CPU has it. A one-row
+//!   `A` (every decoder step's `[1,k]` state or query) skips the
+//!   packing, which only pays when several rows reuse a panel, and
+//!   streams `B`'s rows through [`crate::simd::axpy`] instead.
 //! * [`matmul_grad_a`] — `gA += G @ Bᵀ`. B is transposed once per call
 //!   into a `[c,k]` scratch so each `g != 0` term becomes a contiguous
 //!   saxpy into a per-row accumulator — the same memory shape as the
@@ -84,6 +87,16 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], r: usize, k: usize, c: usiz
                 acc += av * bv;
             }
             out[i] = acc;
+        }
+        return;
+    }
+    if r == 1 {
+        // A row vector: out = Σ_kk a[kk] · B[kk], one axpy per row of B
+        // in ascending kk. Per output element that is the reference's
+        // sequence exactly — start at 0, then mul-then-add each term.
+        out.iter_mut().for_each(|o| *o = 0.0);
+        for (kk, &av) in a.iter().enumerate() {
+            simd::axpy(out, &b[kk * c..(kk + 1) * c], av);
         }
         return;
     }
@@ -321,9 +334,22 @@ mod tests {
 
     #[test]
     fn blocked_forward_matches_naive_bitwise() {
-        for &(r, k, c) in
-            &[(1, 1, 1), (3, 5, 7), (16, 16, 16), (17, 33, 19), (2, 64, 1), (40, 24, 48)]
-        {
+        // The last five are the decoders' row-vector products: the LSTM
+        // gates over the recurrent state and the route and SortLSTM
+        // inputs, and the attention query.
+        for &(r, k, c) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (16, 16, 16),
+            (17, 33, 19),
+            (2, 64, 1),
+            (40, 24, 48),
+            (1, 48, 192),
+            (1, 56, 192),
+            (1, 57, 192),
+            (1, 65, 192),
+            (1, 59, 48),
+        ] {
             let a = fill(r * k, 1 + r as u32);
             let b = fill(k * c, 2 + c as u32);
             let mut out1 = vec![f32::NAN; r * c];

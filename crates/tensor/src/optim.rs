@@ -97,15 +97,28 @@ impl Adam {
     /// and step count are part of the training trajectory, so exact
     /// crash/resume requires persisting them alongside the weights.
     pub fn state(&self) -> AdamState {
+        AdamState { m: self.m.clone(), v: self.v.clone(), ..self.scalar_state() }
+    }
+
+    /// [`Adam::state`] with empty moment buffers: the hyperparameters
+    /// and step count alone, for a checkpoint writer that reads the
+    /// moments in place through [`Adam::moments`].
+    pub fn scalar_state(&self) -> AdamState {
         AdamState {
             lr: self.lr,
             beta1: self.beta1,
             beta2: self.beta2,
             eps: self.eps,
             t: self.t,
-            m: self.m.clone(),
-            v: self.v.clone(),
+            m: Vec::new(),
+            v: Vec::new(),
         }
+    }
+
+    /// The first and second moments, one buffer per parameter in
+    /// registration order (both empty before the first step).
+    pub fn moments(&self) -> (&[Vec<f32>], &[Vec<f32>]) {
+        (&self.m, &self.v)
     }
 
     /// Rebuilds an optimizer from a captured [`AdamState`].

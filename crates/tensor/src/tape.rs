@@ -21,6 +21,16 @@
 //! tape's resident memory with every request. [`Tape::inference`]
 //! builds a no-grad tape that skips gradient allocation and op-payload
 //! recording entirely; [`Tape::backward`] on such a tape panics.
+//!
+//! A parameter is copied onto a tape at most once: [`Tape::param`]
+//! keeps a `ParamId → TensorId` index and hands every later lease of
+//! the same parameter the tensor of the first one, so a decoder that
+//! applies its LSTM and attention weights at every step copies each
+//! weight once per pass, and a grad tape holds one gradient buffer per
+//! weight and sends it to the [`crate::GradSink`] once. This assumes
+//! the one rule every caller keeps: a tape leases from one
+//! [`ParamStore`], which does not change while the pass runs.
+//! [`Tape::clear`] forgets the index with the nodes.
 
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
@@ -105,6 +115,8 @@ pub struct Tape {
     /// One gradient buffer per node (grad mode only; empty otherwise).
     grads: Vec<Vec<f32>>,
     grad_enabled: bool,
+    /// `ParamId` index → the tensor leasing that parameter on this tape.
+    leases: Vec<Option<TensorId>>,
 }
 
 impl Default for Tape {
@@ -115,7 +127,13 @@ impl Default for Tape {
 
 impl Tape {
     fn with_grad(grad_enabled: bool) -> Self {
-        Self { nodes: Vec::new(), bufs: Vec::new(), grads: Vec::new(), grad_enabled }
+        Self {
+            nodes: Vec::new(),
+            bufs: Vec::new(),
+            grads: Vec::new(),
+            grad_enabled,
+            leases: Vec::new(),
+        }
     }
 
     /// Creates an empty tape that records gradients.
@@ -146,13 +164,15 @@ impl Tape {
         self.grad_enabled
     }
 
-    /// Forgets all nodes and drops their data and gradient buffers, so
-    /// a cleared tape holds no tensor memory. Reusing a cleared tape is
-    /// bit-identical to using a fresh one.
+    /// Forgets all nodes and parameter leases and drops their data and
+    /// gradient buffers, so a cleared tape holds no tensor memory and
+    /// its next [`Tape::param`] reads the store afresh. Reusing a
+    /// cleared tape is bit-identical to using a fresh one.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.bufs.clear();
         self.grads.clear();
+        self.leases.clear();
     }
 
     fn push(&mut self, rows: usize, cols: usize, data: Vec<f32>, op: Op) -> TensorId {
@@ -225,10 +245,26 @@ impl Tape {
     /// Leases a parameter from `store` onto this tape. Gradients flowing
     /// into the returned tensor are accumulated back into the store by
     /// [`Tape::backward`].
+    ///
+    /// Each parameter is leased at most once per tape: the first call
+    /// copies its values, and every later call for the same `id`
+    /// returns that same tensor, so all uses of a weight sum their
+    /// gradients into one buffer that reaches the sink once. The tape
+    /// must therefore lease from one store that does not change during
+    /// the pass; [`Tape::clear`] ends the pass and forgets the leases.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> TensorId {
+        if let Some(&Some(lease)) = self.leases.get(id.index()) {
+            debug_assert_eq!(self.shape(lease), store.shape(id), "lease from another store");
+            return lease;
+        }
         let (rows, cols) = store.shape(id);
         let out = store.data(id).to_vec();
-        self.push(rows, cols, out, Op::Param(id))
+        let lease = self.push(rows, cols, out, Op::Param(id));
+        if self.leases.len() <= id.index() {
+            self.leases.resize(id.index() + 1, None);
+        }
+        self.leases[id.index()] = Some(lease);
+        lease
     }
 
     // ---------------------------------------------------------------
@@ -1435,6 +1471,38 @@ mod tests {
             assert!(t.bufs.is_empty(), "clear() must drop every data buffer");
             assert!(t.grads.is_empty(), "clear() must drop every gradient buffer");
         }
+    }
+
+    #[test]
+    fn each_parameter_is_leased_once_per_pass() {
+        let mut store = ParamStore::new(0);
+        let w = store.add_param("w", 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let mut t = Tape::new();
+        let first = t.param(&store, w);
+        let bufs = t.bufs.len();
+        assert_eq!(t.param(&store, w), first, "a second lease must return the first");
+        assert_eq!(t.bufs.len(), bufs, "a second lease must not copy the weight");
+        assert_eq!(t.len(), 1);
+
+        // A new pass reads the store as it is now.
+        store.data_mut(w).copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
+        t.clear();
+        let again = t.param(&store, w);
+        assert_eq!(t.data(again), &[5.0, 6.0, 7.0, 8.0]);
+
+        // Both uses of the one lease sum into the store: for
+        // L = Σ(x1·W + x2·W), dL/dW[k][j] = x1[k] + x2[k].
+        t.clear();
+        let x1 = t.constant(1, 2, vec![1.0, 2.0]);
+        let x2 = t.constant(1, 2, vec![3.0, 5.0]);
+        let w1 = t.param(&store, w);
+        let h1 = t.matmul(x1, w1);
+        let w2 = t.param(&store, w);
+        let h2 = t.matmul(x2, w2);
+        let h = t.add(h1, h2);
+        let l = t.sum_all(h);
+        t.backward(l, &mut store);
+        assert_eq!(store.grad(w), &[4.0, 4.0, 7.0, 7.0]);
     }
 
     #[test]
