@@ -14,17 +14,18 @@
 //! over [representation ‖ position encoding ‖ handcrafted step
 //! features]; the wide (raw-feature) path is the handcrafted block.
 
-use m2g4rtp::{derive_aoi_outputs, NodeEmbedder, Prediction, RouteDecoder, TIME_SCALE};
+use m2g4rtp::{
+    derive_aoi_outputs, NodeEmbedder, Prediction, RouteDecoder, TrainingGraphs, TIME_SCALE,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
-use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
+use rtp_graph::{FeatureScaler, GraphBuilder, MultiLevelGraph};
 use rtp_sim::{Dataset, RtpSample};
 use rtp_tensor::nn::{positional_encoding, Embedding, Linear, LstmCell, Mlp};
-use rtp_tensor::optim::{Adam, Optimizer};
-use rtp_tensor::parallel::parallel_map_ordered;
-use rtp_tensor::{GradBuffer, ParamStore, Tape, TensorId};
+use rtp_tensor::optim::Adam;
+use rtp_tensor::parallel::minibatch_step;
+use rtp_tensor::{ParamId, ParamStore, Tape, TensorId};
 use serde::{Deserialize, Serialize};
 
 use crate::Baseline;
@@ -417,138 +418,108 @@ impl DeepBaseline {
         let _fit_span = rtp_obs::span!("deep.fit");
         let obs = rtp_obs::metrics::global();
         let (g_val_krc, g_val_mae) = (obs.gauge("deep.val_krc"), obs.gauge("deep.val_mae"));
-        let builder = GraphBuilder::new(GraphConfig::default());
-        let scaler = FeatureScaler::fit(dataset, &builder);
-        let prep = |samples: &[RtpSample]| -> Vec<MultiLevelGraph> {
-            samples
-                .par_iter()
-                .map(|s| {
-                    let mut g = builder.build(
-                        &s.query,
-                        &dataset.city,
-                        &dataset.couriers[s.query.courier_id],
-                    );
-                    scaler.apply(&mut g);
-                    g
-                })
-                .collect()
-        };
-        let train_graphs = prep(&dataset.train);
-        let val_graphs = prep(&dataset.val);
+        let graphs = TrainingGraphs::build(dataset);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
+        let mut indices: Vec<usize> = (0..graphs.train.len()).collect();
+        let (label, verbose) = (self.kind.label(), self.config.verbose);
 
-        // ---------- phase 1: route ----------
         let route_phase_span = rtp_obs::span!("deep.route_phase");
-        let mut opt = Adam::new(self.config.lr);
+        self.train_phase(
+            self.config.route_epochs,
+            &[],
+            &mut rng,
+            &mut indices,
+            |m, t, i| {
+                let g = &graphs.train[i];
+                let reps = m.encode(t, &m.store, g);
+                let u = m.courier_repr(t, &m.store, g);
+                let loss =
+                    m.route_dec.train_loss(t, &m.store, reps, u, &dataset.train[i].truth.route);
+                (loss, t.scalar(loss))
+            },
+            |m, epoch| {
+                let krc = m.mean_val_krc(&graphs.val, &dataset.val);
+                g_val_krc.set(krc);
+                if verbose {
+                    eprintln!("[{label}] route epoch {epoch:>3}  val KRC {krc:>6.3}");
+                }
+                krc
+            },
+        );
+        drop(route_phase_span);
+
+        let _time_phase_span = rtp_obs::span!("deep.time_phase");
+        let route_params: Vec<ParamId> =
+            self.store.iter_ids().filter(|id| id.index() < self.time_param_start).collect();
+        self.train_phase(
+            self.config.time_epochs,
+            &route_params,
+            &mut rng,
+            &mut indices,
+            |m, t, i| {
+                let g = &graphs.train[i];
+                let reps = m.encode(t, &m.store, g);
+                let u = m.courier_repr(t, &m.store, g);
+                let route = m.route_dec.decode(t, &m.store, reps, u);
+                let pred = m.time_forward(t, &m.store, g, reps, &route);
+                let target: Vec<f32> =
+                    dataset.train[i].truth.arrival.iter().map(|&v| v / TIME_SCALE).collect();
+                let y = t.constant(target.len(), 1, target);
+                let loss = t.mae_loss(pred, y);
+                (loss, t.scalar(loss))
+            },
+            |m, epoch| {
+                let mae = m.mean_val_mae(&graphs.val, &dataset.val);
+                g_val_mae.set(mae);
+                if verbose {
+                    eprintln!("[{label}] time epoch {epoch:>3}   val MAE {mae:>7.2}");
+                }
+                -mae
+            },
+        );
+        self.pipeline = Some((graphs.builder, graphs.scaler));
+    }
+
+    /// One training phase with an Adam of its own: up to `epochs`
+    /// epochs of mini-batch steps on `loss` over the sample `indices`,
+    /// shuffled by `rng` each epoch, with the `frozen` parameters held
+    /// still. Each epoch ends with a validation `score` (higher is
+    /// better); the phase stops once more than `patience` epochs in a
+    /// row fail to beat the best score, and restores the best epoch's
+    /// weights.
+    fn train_phase(
+        &mut self,
+        epochs: usize,
+        frozen: &[ParamId],
+        rng: &mut StdRng,
+        indices: &mut [usize],
+        loss: impl Fn(&Self, &mut Tape, usize) -> (TensorId, f32) + Sync,
+        score: impl Fn(&Self, usize) -> f64,
+    ) {
+        let DeepConfig { lr, batch_size, grad_clip, patience, threads, .. } = self.config;
+        let mut opt = Adam::new(lr);
         let mut best = f64::NEG_INFINITY;
         let mut best_snap = self.store.snapshot();
         let mut since = 0usize;
-        for epoch in 0..self.config.route_epochs {
+        for epoch in 0..epochs {
             let _epoch_span = rtp_obs::span!("deep.epoch", epoch);
-            indices.shuffle(&mut rng);
-            for batch in indices.chunks(self.config.batch_size) {
-                self.store.zero_grad();
-                let this = &*self;
-                let store = &this.store;
-                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
-                    let i = batch[k];
-                    let t = &mut Tape::new();
-                    let reps = this.encode(t, store, &train_graphs[i]);
-                    let u = this.courier_repr(t, store, &train_graphs[i]);
-                    let loss =
-                        this.route_dec.train_loss(t, store, reps, u, &dataset.train[i].truth.route);
-                    let mut buffer = GradBuffer::zeros_like(store);
-                    t.backward_into(loss, &mut buffer);
-                    buffer
-                });
-                for buffer in &shards {
-                    self.store.accumulate(buffer);
-                }
-                self.store.scale_grad(1.0 / batch.len() as f32);
-                self.store.clip_grad_norm(self.config.grad_clip);
-                opt.step(&mut self.store);
+            indices.shuffle(rng);
+            for batch in indices.chunks(batch_size) {
+                minibatch_step(self, &mut opt, batch, threads, grad_clip, frozen, &loss);
             }
-            let krc = self.mean_val_krc(&val_graphs, &dataset.val);
-            g_val_krc.set(krc);
-            if self.config.verbose {
-                eprintln!("[{}] route epoch {epoch:>3}  val KRC {krc:>6.3}", self.kind.label());
-            }
-            if krc > best {
-                best = krc;
+            let s = score(self, epoch);
+            if s > best {
+                best = s;
                 best_snap = self.store.snapshot();
                 since = 0;
             } else {
                 since += 1;
-                if since > self.config.patience {
+                if since > patience {
                     break;
                 }
             }
         }
         self.store.restore(&best_snap);
-        drop(route_phase_span);
-
-        // ---------- phase 2: time head on predicted routes ----------
-        let _time_phase_span = rtp_obs::span!("deep.time_phase");
-        let mut opt = Adam::new(self.config.lr);
-        let mut best = f64::MAX;
-        let mut best_snap = self.store.snapshot();
-        let mut since = 0usize;
-        for epoch in 0..self.config.time_epochs {
-            let _epoch_span = rtp_obs::span!("deep.epoch", epoch);
-            indices.shuffle(&mut rng);
-            for batch in indices.chunks(self.config.batch_size) {
-                self.store.zero_grad();
-                let this = &*self;
-                let store = &this.store;
-                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
-                    let i = batch[k];
-                    let g = &train_graphs[i];
-                    let t = &mut Tape::new();
-                    let reps = this.encode(t, store, g);
-                    let u = this.courier_repr(t, store, g);
-                    let route = this.route_dec.decode(t, store, reps, u);
-                    let pred = this.time_forward(t, store, g, reps, &route);
-                    let target: Vec<f32> =
-                        dataset.train[i].truth.arrival.iter().map(|&v| v / TIME_SCALE).collect();
-                    let y = t.constant(target.len(), 1, target);
-                    let loss = t.mae_loss(pred, y);
-                    let mut buffer = GradBuffer::zeros_like(store);
-                    t.backward_into(loss, &mut buffer);
-                    buffer
-                });
-                for buffer in &shards {
-                    self.store.accumulate(buffer);
-                }
-                // freeze everything but the time head
-                let ids: Vec<_> = self.store.iter_ids().collect();
-                for id in ids {
-                    if id.index() < self.time_param_start {
-                        self.store.zero_grad_of(id);
-                    }
-                }
-                self.store.scale_grad(1.0 / batch.len() as f32);
-                self.store.clip_grad_norm(self.config.grad_clip);
-                opt.step(&mut self.store);
-            }
-            let mae = self.mean_val_mae(&val_graphs, &dataset.val);
-            g_val_mae.set(mae);
-            if self.config.verbose {
-                eprintln!("[{}] time epoch {epoch:>3}   val MAE {mae:>7.2}", self.kind.label());
-            }
-            if mae < best {
-                best = mae;
-                best_snap = self.store.snapshot();
-                since = 0;
-            } else {
-                since += 1;
-                if since > self.config.patience {
-                    break;
-                }
-            }
-        }
-        self.store.restore(&best_snap);
-        self.pipeline = Some((builder, scaler));
     }
 
     fn mean_val_krc(&self, graphs: &[MultiLevelGraph], samples: &[RtpSample]) -> f64 {
@@ -593,6 +564,19 @@ impl DeepBaseline {
         let m = g.aois.n;
         let (aoi_route, aoi_times) = derive_aoi_outputs(&route, &times, &g.loc_to_aoi, m);
         Prediction { aoi_route, aoi_times, route, times }
+    }
+}
+
+/// The weights, for [`minibatch_step`].
+impl AsRef<ParamStore> for DeepBaseline {
+    fn as_ref(&self) -> &ParamStore {
+        &self.store
+    }
+}
+
+impl AsMut<ParamStore> for DeepBaseline {
+    fn as_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
     }
 }
 

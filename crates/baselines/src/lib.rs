@@ -18,13 +18,11 @@
 //! harness treats every method uniformly.
 
 mod deep;
-mod deepeta;
 mod gbdt;
 mod heuristics;
 mod osquare;
 
 pub use deep::{DeepBaseline, DeepConfig, DeepKind};
-pub use deepeta::{DeepEta, DeepEtaConfig};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use heuristics::{fixed_speed_times, DistanceGreedy, OrToolsLike, TimeGreedy};
 pub use osquare::{OSquare, OSquareConfig};

@@ -24,10 +24,12 @@
 //!   tolerance (default 15%, CI passes 5) of the no-reload twin's
 //!   throughput, compared within one run so scheduler noise between
 //!   runs cannot fail the gate.
-//! * `ckpt`     — gate on the training bench's checkpoint overhead:
-//!   the per-epoch checkpoints' wall time must not exceed the tolerance
-//!   (default 15%, CI passes 5) of the rest of the same checkpointed
-//!   run, again a within-run ratio.
+//! * `ckpt`     — gate on the training bench: its runs at every
+//!   thread count must have ended on the same loss bits
+//!   (`loss_bit_identical_across_threads`), and the per-epoch
+//!   checkpoints' wall time must not exceed the tolerance (default 15%,
+//!   CI passes 5) of the rest of the same checkpointed run, again a
+//!   within-run ratio.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -287,14 +289,28 @@ fn cmd_swap(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// The checkpoint-overhead gate: reads the checkpointed run out of the
-/// current `training_throughput.json` and fails if its checkpoints took
-/// more than `tolerance_pct` of the rest of that run's wall clock. Both
-/// sides of the ratio come from one run, so host speed cancels out.
+/// The training gate, on the current `training_throughput.json`. It
+/// fails unless the bench's runs at 1, 2 and all cores ended on the
+/// same loss bits: the mini-batch step's sample-ordered reduction,
+/// checked in an optimised build at the host's real core count. It
+/// also fails if the checkpointed run's checkpoints took more than
+/// `tolerance_pct` of the rest of that run's wall clock. Both sides of
+/// that ratio come from one run, so host speed cancels out.
 fn cmd_ckpt(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
     let v = load_json(&dir.join("training_throughput.json")).ok_or(
         "missing results/training_throughput.json — run the training_throughput bench first",
     )?;
+    match v.get("loss_bit_identical_across_threads") {
+        Some(Value::Bool(true)) => {}
+        Some(Value::Bool(false)) => {
+            return Err("training ended on different loss bits at different thread counts".into())
+        }
+        _ => {
+            return Err("training_throughput.json lacks `loss_bit_identical_across_threads` — \
+                        rerun the bench"
+                .into())
+        }
+    }
     let (Some(frac), Some(ckpt_s)) =
         (get_num(&v, "checkpoint_overhead_frac"), get_num(&v, "checkpoint_seconds"))
     else {
@@ -310,7 +326,7 @@ fn cmd_ckpt(dir: &Path, tolerance_pct: f64) -> Result<(), String> {
     if cost_pct > tolerance_pct {
         return Err(verdict);
     }
-    println!("checkpoint gate OK: {verdict}");
+    println!("checkpoint gate OK: loss bit-identical across thread counts; {verdict}");
     Ok(())
 }
 
@@ -439,6 +455,30 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `ckpt` passes only a file whose runs agreed to the bit across
+    /// thread counts, and whose checkpoints stayed within budget.
+    #[test]
+    fn ckpt_gate_requires_loss_bit_identity_across_threads() {
+        let dir = std::env::temp_dir().join(format!("perf-gate-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let gate = |identity: &str, frac: f64| {
+            let json = format!(
+                "{{\"bench\": \"training_throughput\",{identity} \
+                 \"checkpoint_overhead_frac\": {frac}, \"checkpoint_seconds\": 0.0135}}"
+            );
+            std::fs::write(dir.join("training_throughput.json"), json).unwrap();
+            cmd_ckpt(&dir, 5.0)
+        };
+        let identical = " \"loss_bit_identical_across_threads\": true,";
+        assert_eq!(gate(identical, 0.0376), Ok(()));
+        let differing = gate(" \"loss_bit_identical_across_threads\": false,", 0.0376);
+        assert!(differing.unwrap_err().contains("different loss bits"));
+        let absent = gate("", 0.0376);
+        assert!(absent.unwrap_err().contains("lacks `loss_bit_identical_across_threads`"));
+        assert!(gate(identical, 0.06).unwrap_err().contains("cost 6.0%"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn every_serve_arm_has_its_own_keys() {

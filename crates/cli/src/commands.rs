@@ -42,7 +42,7 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             Ok(0)
         }
         Command::Train {
-            dataset,
+            dataset: dataset_path,
             epochs,
             variant,
             seed,
@@ -52,7 +52,16 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<i3
             checkpoint_dir,
             resume,
         } => {
-            let dataset = load_dataset(&dataset)?;
+            let dataset = load_dataset(&dataset_path)?;
+            if dataset.train.is_empty() {
+                // The feature scaler is fitted on the training graphs.
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{dataset_path}: the train split is empty: there is nothing to train on"
+                    ),
+                ));
+            }
             if !log_json.is_empty() {
                 rtp_obs::trace::attach_file(&log_json)?;
             }
@@ -426,6 +435,27 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A dataset whose train split is empty is an error naming the file
+    /// (exit 1 in `main`), not a panic in the scaler fit.
+    #[test]
+    fn empty_train_split_is_a_named_error() {
+        let dir = std::env::temp_dir().join(format!("rtp-cli-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (ds, md) = (path("d.json"), path("m.json"));
+        let mut dataset = DatasetBuilder::new(DatasetConfig::tiny(3)).build();
+        dataset.train.clear();
+        std::fs::write(&ds, dataset.to_json().unwrap()).unwrap();
+        let cli = parse(&["train", "--dataset", &ds, "--epochs", "1", "--out", &md]).unwrap();
+        let err = run(cli.command, &mut Vec::new()).expect_err("an empty train split must fail");
+        assert_eq!(
+            err.to_string(),
+            format!("{ds}: the train split is empty: there is nothing to train on")
+        );
+        assert!(!std::path::Path::new(&md).exists(), "no model is written");
         std::fs::remove_dir_all(&dir).ok();
     }
 

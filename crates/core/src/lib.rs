@@ -55,7 +55,7 @@ pub use config::{ModelConfig, Variant};
 pub use decoder::{RouteDecoder, SortLstm};
 pub use encoder::{BiLstmEncoder, EdgeEmbedder, Encoder, GatELayer, GatEncoder, NodeEmbedder};
 pub use model::{derive_aoi_outputs, EncodedQuery, M2G4Rtp, Prediction, SampleLosses, SavedModel};
-pub use trainer::{EpochStats, TrainConfig, TrainReport, Trainer};
+pub use trainer::{EpochStats, TrainConfig, TrainReport, Trainer, TrainingGraphs};
 
 /// Arrival-time gaps are regressed in units of `TIME_SCALE` minutes to
 /// keep the regression loss on a similar scale to the route

@@ -103,6 +103,19 @@ pub struct M2G4Rtp {
     pipeline: Option<Pipeline>,
 }
 
+/// The weights, for [`rtp_tensor::parallel::minibatch_step`].
+impl AsRef<ParamStore> for M2G4Rtp {
+    fn as_ref(&self) -> &ParamStore {
+        &self.store
+    }
+}
+
+impl AsMut<ParamStore> for M2G4Rtp {
+    fn as_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+}
+
 #[derive(Debug)]
 struct AoiLevel {
     node_emb: NodeEmbedder,

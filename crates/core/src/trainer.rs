@@ -1,25 +1,26 @@
-//! Training loop: Adam with gradient accumulation over mini-batches of
-//! per-sample tapes, gradient clipping, validation-based early stopping
-//! with best-weights restoration, and the two-phase schedule used by the
-//! "two-step" ablation.
+//! Training loop: Adam over mini-batches, validation-based early
+//! stopping with best-weights restoration, exact checkpoint/resume, and
+//! the schedules of the route warm-up and the "two-step" ablation.
 //!
-//! Mini-batches are **data-parallel**: each sample's forward/backward
-//! runs on a worker thread, on a tape of its own, reading the model's
-//! weights (nothing writes them until the batch's reduction) and
-//! producing a private [`GradBuffer`]; buffers are then reduced into
-//! the [`rtp_tensor::ParamStore`] in sample-index order and Adam steps
-//! once. Because the reduction order is fixed, the training trajectory
-//! is bit-identical for any [`TrainConfig::threads`] setting.
+//! [`TrainingGraphs::build`] turns a dataset into scaled graphs once;
+//! every optimizer step is one call of
+//! [`rtp_tensor::parallel::minibatch_step`], which runs the batch's
+//! samples data-parallel on tapes of their own and reduces their
+//! gradients in sample-index order. That step owns the determinism
+//! contract, so the training trajectory is bit-identical for any
+//! [`TrainConfig::threads`] setting. This module only chooses, per
+//! epoch, which objective the step differentiates and which parameter
+//! group it holds still.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use rtp_graph::{FeatureScaler, GraphBuilder, GraphConfig, MultiLevelGraph};
-use rtp_sim::Dataset;
-use rtp_tensor::optim::{Adam, Optimizer};
-use rtp_tensor::parallel::parallel_map_ordered;
-use rtp_tensor::{GradBuffer, Tape};
+use rtp_sim::{Dataset, RtpSample};
+use rtp_tensor::optim::Adam;
+use rtp_tensor::parallel::minibatch_step;
+use rtp_tensor::ParamId;
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{
@@ -128,6 +129,53 @@ pub struct TrainReport {
     pub checkpoint_seconds: f64,
 }
 
+/// A dataset's training and validation graphs, each built once, and
+/// the feature pipeline that scaled them. The scaler is fitted on the
+/// training graphs alone, so no statistic leaks from the validation
+/// split. Every trainer in the workspace starts from one.
+#[derive(Debug)]
+pub struct TrainingGraphs {
+    /// The builder every graph was built with.
+    pub builder: GraphBuilder,
+    /// Feature statistics fitted on the training graphs.
+    pub scaler: FeatureScaler,
+    /// `dataset.train`'s graphs, scaled, in sample order.
+    pub train: Vec<MultiLevelGraph>,
+    /// `dataset.val`'s graphs, scaled, in sample order.
+    pub val: Vec<MultiLevelGraph>,
+}
+
+impl TrainingGraphs {
+    /// Builds every training graph once, in parallel, fits the scaler
+    /// on them ([`FeatureScaler::fit_graphs`]) and scales them, then
+    /// builds and scales the validation graphs.
+    ///
+    /// # Panics
+    /// Panics if `dataset.train` is empty: there is nothing to fit the
+    /// scaler on.
+    pub fn build(dataset: &Dataset) -> Self {
+        let builder = GraphBuilder::new(GraphConfig::default());
+        let build = |s: &RtpSample| {
+            builder.build(&s.query, &dataset.city, &dataset.couriers[s.query.courier_id])
+        };
+        let mut train: Vec<MultiLevelGraph> = dataset.train.par_iter().map(build).collect();
+        let scaler = FeatureScaler::fit_graphs(&train);
+        for g in &mut train {
+            scaler.apply(g);
+        }
+        let val = dataset
+            .val
+            .par_iter()
+            .map(|s| {
+                let mut g = build(s);
+                scaler.apply(&mut g);
+                g
+            })
+            .collect();
+        Self { builder, scaler, train, val }
+    }
+}
+
 /// Fits an [`M2G4Rtp`] model on a dataset.
 #[derive(Debug, Clone)]
 pub struct Trainer {
@@ -146,8 +194,9 @@ impl Trainer {
     ///
     /// For [`Variant::TwoStep`] the epochs are split 60/40 into a
     /// route-only phase (time modules frozen) and a time-only phase
-    /// (everything else frozen) — the paper's "assign an optimizer to
-    /// the parameters of SortLSTM separately".
+    /// (everything else frozen, and a fresh Adam, so phase A's momentum
+    /// cannot move the route modules) — the paper's "assign an
+    /// optimizer to the parameters of SortLSTM separately".
     pub fn fit(&self, model: &mut M2G4Rtp, dataset: &Dataset) -> TrainReport {
         self.fit_with_checkpoints(model, dataset, None)
             .expect("fit without checkpointing performs no fallible I/O")
@@ -188,26 +237,7 @@ impl Trainer {
             (obs.gauge("train.loss"), obs.gauge("train.val_krc"), obs.gauge("train.val_mae"));
         let g_ckpt_bytes = obs.gauge("train.checkpoint_bytes");
         let start = std::time::Instant::now();
-        let builder = GraphBuilder::new(GraphConfig::default());
-        let scaler = FeatureScaler::fit(dataset, &builder);
-        // Graph construction is embarrassingly parallel and dominates
-        // start-up cost on large datasets.
-        let prep = |samples: &[rtp_sim::RtpSample]| -> Vec<MultiLevelGraph> {
-            samples
-                .par_iter()
-                .map(|s| {
-                    let mut g = builder.build(
-                        &s.query,
-                        &dataset.city,
-                        &dataset.couriers[s.query.courier_id],
-                    );
-                    scaler.apply(&mut g);
-                    g
-                })
-                .collect()
-        };
-        let train_graphs = prep(&dataset.train);
-        let val_graphs = prep(&dataset.val);
+        let graphs = TrainingGraphs::build(dataset);
 
         let mut opt = Adam::new(self.config.lr);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -226,7 +256,7 @@ impl Trainer {
             (self.config.epochs as f32 * self.config.route_warmup_frac) as usize
         };
 
-        let mut indices: Vec<usize> = (0..train_graphs.len()).collect();
+        let mut indices: Vec<usize> = (0..graphs.train.len()).collect();
         let mut train_loop_seconds = 0.0f64;
         let mut checkpoint_seconds = 0.0f64;
         let mut prior_train_seconds = 0.0f64;
@@ -273,6 +303,12 @@ impl Trainer {
             let _epoch_span = rtp_obs::span!("train.epoch", epoch);
             indices.shuffle(&mut rng);
             let phase_b = two_step && epoch >= phase_a_epochs;
+            if two_step && epoch == phase_a_epochs {
+                // Phase B gets an optimizer of its own: phase A's Adam
+                // momentum would keep moving the frozen route modules
+                // although their gradients are zero.
+                opt = Adam::new(self.config.lr);
+            }
             let warming_up = !two_step && epoch < warmup_epochs;
             // One span per epoch-phase: which parameter groups this
             // epoch's gradient steps actually move.
@@ -285,65 +321,53 @@ impl Trainer {
             } else {
                 "train.phase.route"
             });
+            // The complementary group stands still: the time modules
+            // during the warm-up and phase A, everything else in phase B.
+            let frozen: Vec<ParamId> = if two_step || warming_up {
+                model.store.iter_ids().filter(|&id| model.is_time_param(id) != phase_b).collect()
+            } else {
+                Vec::new()
+            };
             let mut loss_sum = 0.0f32;
             let loop_start = std::time::Instant::now();
             for batch in indices.chunks(self.config.batch_size) {
-                model.store.zero_grad();
-                // Data-parallel shard: each sample runs forward/backward
-                // on a worker thread and a tape of its own, reading the
-                // weights, into a private gradient buffer. The store is
-                // only written after the fan-out returns.
-                let model_ref: &M2G4Rtp = model;
-                let store = &model_ref.store;
-                let shards = parallel_map_ordered(batch.len(), self.config.threads, |k| {
-                    let i = batch[k];
-                    let mut tape = Tape::new();
-                    let lt = model_ref.forward_train(
-                        &mut tape,
-                        store,
-                        &train_graphs[i],
-                        &dataset.train[i].truth,
-                    );
-                    let objective = if warming_up {
-                        lt.route_total
-                    } else if !two_step {
-                        lt.total
-                    } else if phase_b {
-                        lt.time_total
-                    } else {
-                        lt.route_total
-                    };
-                    let mut buffer = GradBuffer::zeros_like(store);
-                    tape.backward_into(objective, &mut buffer);
-                    (buffer, lt.scalars.total)
-                });
-                // Fixed, index-ordered reduction: identical float
-                // operation sequence no matter how many workers ran.
-                for (buffer, sample_loss) in &shards {
-                    model.store.accumulate(buffer);
-                    loss_sum += sample_loss;
+                let losses = minibatch_step(
+                    model,
+                    &mut opt,
+                    batch,
+                    self.config.threads,
+                    self.config.grad_clip,
+                    &frozen,
+                    |m, tape, i| {
+                        let lt = m.forward_train(
+                            tape,
+                            &m.store,
+                            &graphs.train[i],
+                            &dataset.train[i].truth,
+                        );
+                        let objective = if phase_b {
+                            lt.time_total
+                        } else if two_step || warming_up {
+                            lt.route_total
+                        } else {
+                            lt.total
+                        };
+                        (objective, lt.scalars.total)
+                    },
+                );
+                // Sample by sample: the epoch loss adds the same floats
+                // in the same order for every thread count.
+                for loss in losses {
+                    loss_sum += loss;
                 }
-                if two_step || warming_up {
-                    // freeze the complementary parameter group
-                    let ids: Vec<_> = model.store.iter_ids().collect();
-                    for id in ids {
-                        let is_time = model.is_time_param(id);
-                        if (phase_b && !is_time) || (!phase_b && is_time) {
-                            model.store.zero_grad_of(id);
-                        }
-                    }
-                }
-                model.store.scale_grad(1.0 / batch.len() as f32);
-                model.store.clip_grad_norm(self.config.grad_clip);
-                opt.step(&mut model.store);
             }
             train_loop_seconds += loop_start.elapsed().as_secs_f64();
             drop(phase_span);
-            let train_loss = loss_sum / train_graphs.len().max(1) as f32;
+            let train_loss = loss_sum / graphs.train.len().max(1) as f32;
 
             let (val_krc, val_mae) = {
                 let _val_span = rtp_obs::span!("train.validate");
-                validate(model, &val_graphs, &dataset.val)
+                validate(model, &graphs.val, &dataset.val)
             };
             g_loss.set(train_loss as f64);
             g_val_krc.set(val_krc);
@@ -439,7 +463,7 @@ impl Trainer {
         if best_score > f64::NEG_INFINITY {
             model.store.restore(&best_snapshot);
         }
-        model.set_pipeline(builder, scaler);
+        model.set_pipeline(graphs.builder, graphs.scaler);
         Ok(TrainReport {
             epochs_run: history.len(),
             best_val_krc: best_krc,
@@ -453,11 +477,7 @@ impl Trainer {
 }
 
 /// Mean location-route KRC and arrival-time MAE over a validation set.
-fn validate(
-    model: &M2G4Rtp,
-    graphs: &[MultiLevelGraph],
-    samples: &[rtp_sim::RtpSample],
-) -> (f64, f64) {
+fn validate(model: &M2G4Rtp, graphs: &[MultiLevelGraph], samples: &[RtpSample]) -> (f64, f64) {
     if graphs.is_empty() {
         return (0.0, 0.0);
     }
@@ -549,6 +569,31 @@ mod tests {
             .map(|id| model.store.data(id).to_vec())
             .collect();
         assert_eq!(before, after, "time params must be frozen in phase A");
+    }
+
+    /// Phase B trains the time modules alone: with epochs 3 the split is
+    /// two phase-A epochs and one phase-B epoch, and a 2-epoch run is
+    /// exactly that phase A, so every route-side weight of the 3-epoch
+    /// model must equal the 2-epoch model's.
+    #[test]
+    fn two_step_phase_b_leaves_route_modules_untouched() {
+        let fit = |epochs: usize| {
+            let (d, mut model) = tiny_model(Variant::TwoStep, 5);
+            let cfg = TrainConfig { epochs, patience: 10, threads: 1, ..TrainConfig::quick() };
+            Trainer::new(cfg).fit(&mut model, &d);
+            let (time, route): (Vec<_>, Vec<_>) =
+                model.store.iter_ids().partition(|&id| model.is_time_param(id));
+            let weights = |ids: Vec<ParamId>| -> Vec<Vec<u32>> {
+                ids.into_iter()
+                    .map(|id| model.store.data(id).iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            (weights(route), weights(time))
+        };
+        let (route_a, time_a) = fit(2);
+        let (route_b, time_b) = fit(3);
+        assert_ne!(time_a, time_b, "phase B must train the time modules");
+        assert_eq!(route_a, route_b, "route params must be frozen in phase B");
     }
 
     #[test]

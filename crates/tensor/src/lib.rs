@@ -19,9 +19,14 @@
 //!   (graphs are dynamic: every query has a different number of nodes).
 //! * **Parameters live outside tapes** in a [`ParamStore`]. A forward pass
 //!   leases a parameter onto the tape with [`Tape::param`]; `backward`
-//!   accumulates the gradient back into the store, and an optimizer
-//!   ([`optim::Adam`] / [`optim::Sgd`]) steps the store. This gives mini-batch gradient
-//!   accumulation across independent per-sample tapes for free.
+//!   accumulates the gradient back into the store, and [`optim::Adam`]
+//!   steps the store. This gives mini-batch gradient accumulation across
+//!   independent per-sample tapes for free.
+//! * **One training step.** Every trainer in the workspace steps its
+//!   model through [`parallel::minibatch_step`], which owns the
+//!   determinism contract: each sample runs on a fresh tape of its own
+//!   and its gradients are reduced in sample order, so training is
+//!   bit-identical for every worker-thread count.
 //! * **2-D everywhere.** Tensors are `[rows, cols]` row-major. The paper's
 //!   3-D edge tensors `E ∈ R^{n×n×d}` are stored as `[n*n, d]`, with
 //!   dedicated broadcast ops ([`Tape::add_outer`], [`Tape::repeat_rows`],
@@ -58,7 +63,7 @@ pub mod optim;
 pub mod parallel;
 pub mod simd;
 
-pub use params::{GradBuffer, GradSink, ParamId, ParamStore};
+pub use params::{ParamId, ParamStore};
 pub use tape::{Numerics, Tape, TensorId};
 
 /// Numerically compares two f32 slices within a tolerance; used widely by

@@ -8,58 +8,6 @@ pub trait Optimizer {
     /// Applies one update using the gradients currently accumulated in
     /// `store` (does not clear them — call [`ParamStore::zero_grad`]).
     fn step(&mut self, store: &mut ParamStore);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (LR schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with classical momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.iter_ids().collect();
-        if self.velocity.len() != ids.len() {
-            self.velocity = ids.iter().map(|&id| vec![0.0; store.data(id).len()]).collect();
-        }
-        for (k, &id) in ids.iter().enumerate() {
-            let grad = store.grad(id).to_vec();
-            let vel = &mut self.velocity[k];
-            let data = store.data_mut(id);
-            for ((w, g), v) in data.iter_mut().zip(&grad).zip(vel.iter_mut()) {
-                *v = self.momentum * *v + g;
-                *w -= self.lr * *v;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) — the optimizer used for every neural model
@@ -79,11 +27,6 @@ impl Adam {
     /// Adam with standard betas (0.9, 0.999) and eps 1e-8.
     pub fn new(lr: f32) -> Self {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
-    /// Adam with explicit hyperparameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-        Self { lr, beta1, beta2, eps, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Number of steps taken so far.
@@ -191,14 +134,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -227,16 +162,6 @@ mod tests {
             opt.step(&mut store);
         }
         (store.data(w)[0] - 3.0).abs() + (store.data(b)[0] + 1.0).abs()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        assert!(quadratic_descends(Sgd::new(0.05)) < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        assert!(quadratic_descends(Sgd::with_momentum(0.02, 0.9)) < 1e-3);
     }
 
     #[test]
@@ -299,14 +224,5 @@ mod tests {
         opt.step(&mut store);
         assert!(opt.matches_store(&store));
         assert!(!opt.matches_store(&other), "moment layout mismatch must be detected");
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut a = Adam::new(0.01);
-        assert_eq!(a.learning_rate(), 0.01);
-        a.set_learning_rate(0.001);
-        assert_eq!(a.learning_rate(), 0.001);
-        assert_eq!(a.steps(), 0);
     }
 }

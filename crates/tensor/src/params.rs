@@ -5,10 +5,12 @@
 //! store by `Tape::backward`, which makes multi-sample (mini-batch)
 //! gradient accumulation trivial: run several tapes, then step once.
 //!
-//! Data-parallel trainers read one store from many tapes at once (one
-//! per sample, on several threads) and collect each sample's gradients
+//! Data-parallel training reads one store from many tapes at once (one
+//! per sample, on several threads) and collects each sample's gradients
 //! in a private [`GradBuffer`]; the store is written only when those
-//! buffers are reduced in sample order, after the fan-out returns.
+//! buffers are reduced in sample order, after the fan-out returns. That
+//! whole step is [`crate::parallel::minibatch_step`], the only user of
+//! the reduction half of this module.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,13 +138,13 @@ impl ParamStore {
     }
 
     /// Reduces a worker-local [`GradBuffer`] into this store's gradient
-    /// accumulators. Data-parallel trainers call this once per sample
+    /// accumulators. The mini-batch step calls this once per sample
     /// buffer, in sample-index order, so the reduction is a fixed
     /// sequence of float additions independent of worker count.
     ///
     /// # Panics
     /// Panics if the buffer was not created for this store's layout.
-    pub fn accumulate(&mut self, buffer: &GradBuffer) {
+    pub(crate) fn accumulate(&mut self, buffer: &GradBuffer) {
         assert_eq!(self.entries.len(), buffer.grads.len(), "gradient buffer layout mismatch");
         for (e, bg) in self.entries.iter_mut().zip(&buffer.grads) {
             debug_assert_eq!(e.grad.len(), bg.len());
@@ -161,8 +163,8 @@ impl ParamStore {
     }
 
     /// Clears the gradient of a single parameter — the freezing
-    /// primitive used by two-phase ("two-step" ablation) training.
-    pub fn zero_grad_of(&mut self, id: ParamId) {
+    /// primitive behind the mini-batch step's `frozen` list.
+    pub(crate) fn zero_grad_of(&mut self, id: ParamId) {
         self.entries[id.index()].grad.iter_mut().for_each(|g| *g = 0.0);
     }
 
@@ -175,13 +177,13 @@ impl ParamStore {
     }
 
     /// Global L2 norm of the gradient, over all parameters.
-    pub fn grad_norm(&self) -> f32 {
+    pub(crate) fn grad_norm(&self) -> f32 {
         self.entries.iter().flat_map(|e| e.grad.iter()).map(|g| g * g).sum::<f32>().sqrt()
     }
 
     /// Clips the global gradient norm to `max_norm` (no-op if already
     /// below). Returns the pre-clip norm.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
+    pub(crate) fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
         let norm = self.grad_norm();
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
@@ -217,9 +219,9 @@ impl ParamStore {
 }
 
 /// Anything `Tape::backward_into` can accumulate parameter gradients
-/// into: the [`ParamStore`] itself (single-threaded training) or a
-/// worker-local [`GradBuffer`] (data-parallel training).
-pub trait GradSink {
+/// into: the [`ParamStore`] itself ([`crate::Tape::backward`]) or a
+/// worker-local [`GradBuffer`] (the data-parallel mini-batch step).
+pub(crate) trait GradSink {
     /// Adds `delta` elementwise into the gradient slot of `id`.
     fn accumulate_grad(&mut self, id: ParamId, delta: &[f32]);
 }
@@ -233,32 +235,34 @@ impl GradSink for ParamStore {
 /// A detached gradient accumulator with the same layout as a
 /// [`ParamStore`], but no weights, optimizer state or RNG.
 ///
-/// Data-parallel minibatch training gives each sample its own buffer:
-/// workers run forward/backward concurrently into private buffers,
-/// then the trainer reduces them into the store **in sample-index
-/// order** via [`ParamStore::accumulate`]. Because each buffer starts
+/// The mini-batch step gives each sample its own buffer: workers run
+/// forward/backward concurrently into private buffers, then the step
+/// reduces them into the store **in sample-index order** via
+/// [`ParamStore::accumulate`]. Because each buffer starts
 /// at exactly 0.0 and `0.0 + x == x` for every finite `x`, the reduced
 /// result is bit-identical to accumulating each sample's leases
 /// directly into the store in the same sample order — so the training
 /// trajectory does not depend on how many worker threads ran.
 #[derive(Debug, Clone)]
-pub struct GradBuffer {
+pub(crate) struct GradBuffer {
     grads: Vec<Vec<f32>>,
 }
 
 impl GradBuffer {
     /// Creates a zeroed buffer matching `store`'s parameter layout.
-    pub fn zeros_like(store: &ParamStore) -> Self {
+    pub(crate) fn zeros_like(store: &ParamStore) -> Self {
         GradBuffer { grads: store.entries.iter().map(|e| vec![0.0; e.grad.len()]).collect() }
     }
 
     /// Read-only view of the accumulated gradient for `id`.
-    pub fn grad(&self, id: ParamId) -> &[f32] {
+    #[cfg(test)]
+    fn grad(&self, id: ParamId) -> &[f32] {
         &self.grads[id.index()]
     }
 
     /// Whether every accumulated gradient is exactly zero.
-    pub fn is_zero(&self) -> bool {
+    #[cfg(test)]
+    fn is_zero(&self) -> bool {
         self.grads.iter().all(|g| g.iter().all(|&v| v == 0.0))
     }
 }

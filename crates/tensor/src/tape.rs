@@ -27,13 +27,13 @@
 //! the same parameter the tensor of the first one, so a decoder that
 //! applies its LSTM and attention weights at every step copies each
 //! weight once per pass, and a grad tape holds one gradient buffer per
-//! weight and sends it to the [`crate::GradSink`] once. This assumes
+//! weight and sends it to its gradient sink once. This assumes
 //! the one rule every caller keeps: a tape leases from one
 //! [`ParamStore`], which does not change while the pass runs.
 //! [`Tape::clear`] forgets the index with the nodes.
 
 use crate::kernels;
-use crate::params::{ParamId, ParamStore};
+use crate::params::{GradSink, ParamId, ParamStore};
 
 /// Numerics tier of an inference tape. `Exact` is the only tier: every
 /// kernel is bit-identical to its naive reference, so training is
@@ -63,14 +63,11 @@ enum Op {
     Matmul(TensorId, TensorId),
     Add(TensorId, TensorId),
     AddRow(TensorId, TensorId),
-    AddCol(TensorId, TensorId),
     AddOuter(TensorId, TensorId),
     Sub(TensorId, TensorId),
     Mul(TensorId, TensorId),
-    MulScalarT(TensorId, TensorId),
     MulRow(TensorId, TensorId),
     Scale(TensorId, f32),
-    AddScalar(TensorId),
     Abs(TensorId),
     Relu(TensorId),
     LeakyRelu(TensorId, f32),
@@ -87,8 +84,6 @@ enum Op {
     Reshape(TensorId),
     SumAll(TensorId),
     MeanAll(TensorId),
-    RowSum(TensorId),
-    RowMean(TensorId),
     MaskedSoftmaxRows(TensorId, Vec<bool>),
     MaskedLogSoftmaxRows(TensorId, Vec<bool>),
     PickElements(TensorId, Vec<(usize, usize)>),
@@ -361,22 +356,6 @@ impl Tape {
         self.push(r, c, out, Op::AddRow(a, b))
     }
 
-    /// Broadcast add of a column vector: `[r,c] + [r,1]`.
-    pub fn add_col(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let (r, c) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!((br, bc), (r, 1), "add_col expects [{r},1], got [{br},{bc}]");
-        let mut out = Vec::with_capacity(r * c);
-        let da = self.data(a);
-        let db = self.data(b);
-        for i in 0..r {
-            for j in 0..c {
-                out.push(da[i * c + j] + db[i]);
-            }
-        }
-        self.push(r, c, out, Op::AddCol(a, b))
-    }
-
     /// Outer sum of two column vectors: `a [r,1] ⊕ b [c,1] -> [r,c]`,
     /// `out[i][j] = a[i] + b[j]`. This is how pairwise attention logits
     /// (`a_left·h_i + a_right·h_j`) are vectorised.
@@ -396,15 +375,6 @@ impl Tape {
             }
         }
         self.push(r, c, out, Op::AddOuter(a, b))
-    }
-
-    /// Multiplies every element of `a` by a learnable `[1,1]` scalar `s`.
-    pub fn mul_scalar_t(&mut self, a: TensorId, s: TensorId) -> TensorId {
-        let (r, c) = self.shape(a);
-        assert_eq!(self.shape(s), (1, 1), "mul_scalar_t scale must be 1x1");
-        let sv = self.data(s)[0];
-        let out = self.data(a).iter().map(|x| x * sv).collect();
-        self.push(r, c, out, Op::MulScalarT(a, s))
     }
 
     /// Broadcast elementwise multiply by a row vector: `[r,c] * [1,c]`
@@ -429,13 +399,6 @@ impl Tape {
         let (r, c) = self.shape(a);
         let out = self.data(a).iter().map(|x| x * k).collect();
         self.push(r, c, out, Op::Scale(a, k))
-    }
-
-    /// Adds a compile-time constant to every element.
-    pub fn add_scalar(&mut self, a: TensorId, k: f32) -> TensorId {
-        let (r, c) = self.shape(a);
-        let out = self.data(a).iter().map(|x| x + k).collect();
-        self.push(r, c, out, Op::AddScalar(a))
     }
 
     /// Elementwise negation (`scale(a, -1)`).
@@ -599,22 +562,6 @@ impl Tape {
         self.push(1, 1, out, Op::MeanAll(a))
     }
 
-    /// Per-row sum: `[r,c] -> [r,1]`.
-    pub fn row_sum(&mut self, a: TensorId) -> TensorId {
-        let (r, c) = self.shape(a);
-        let da = self.data(a);
-        let out = (0..r).map(|i| da[i * c..(i + 1) * c].iter().sum::<f32>()).collect();
-        self.push(r, 1, out, Op::RowSum(a))
-    }
-
-    /// Per-row mean: `[r,c] -> [r,1]`.
-    pub fn row_mean(&mut self, a: TensorId) -> TensorId {
-        let (r, c) = self.shape(a);
-        let da = self.data(a);
-        let out = (0..r).map(|i| da[i * c..(i + 1) * c].iter().sum::<f32>() / c as f32).collect();
-        self.push(r, 1, out, Op::RowMean(a))
-    }
-
     // ---------------------------------------------------------------
     // Softmax family
     // ---------------------------------------------------------------
@@ -744,11 +691,11 @@ impl Tape {
     }
 
     /// Like [`Tape::backward`], but accumulates parameter gradients
-    /// into any [`crate::GradSink`] — a worker-local
-    /// [`crate::GradBuffer`] in data-parallel training, or the
-    /// [`ParamStore`] itself. The propagation itself is identical;
-    /// only the destination of `Op::Param` gradients differs.
-    pub fn backward_into<S: crate::GradSink>(&mut self, loss: TensorId, store: &mut S) {
+    /// into any [`GradSink`] — a worker-local `GradBuffer` in the
+    /// data-parallel mini-batch step, or the [`ParamStore`] itself. The
+    /// propagation itself is identical; only the destination of
+    /// `Op::Param` gradients differs.
+    pub(crate) fn backward_into<S: GradSink>(&mut self, loss: TensorId, store: &mut S) {
         assert!(self.grad_enabled, "backward on a no-grad (inference) tape");
         {
             let n = &self.nodes[loss.idx()];
@@ -815,15 +762,6 @@ impl Tape {
                         }
                     }
                 }
-                &Op::AddCol(a, b) => {
-                    add_assign(&mut self.grads[a.idx()], &grad);
-                    let gb = &mut self.grads[b.idx()];
-                    for i2 in 0..rows {
-                        for j in 0..cols {
-                            gb[i2] += grad[i2 * cols + j];
-                        }
-                    }
-                }
                 &Op::AddOuter(a, b) => {
                     {
                         let ga = &mut self.grads[a.idx()];
@@ -839,15 +777,6 @@ impl Tape {
                             }
                         }
                     }
-                }
-                &Op::MulScalarT(a, s) => {
-                    let sv = self.bufs[self.bufi(s)][0];
-                    for (g, gr) in self.grads[a.idx()].iter_mut().zip(&grad) {
-                        *g += gr * sv;
-                    }
-                    let ba = self.bufi(a);
-                    let gs: f32 = grad.iter().zip(&self.bufs[ba]).map(|(g, x)| g * x).sum();
-                    self.grads[s.idx()][0] += gs;
                 }
                 &Op::MulRow(a, b) => {
                     let (ba, bb) = (self.bufi(a), self.bufi(b));
@@ -873,7 +802,6 @@ impl Tape {
                         *g += gr * k;
                     }
                 }
-                &Op::AddScalar(a) => add_assign(&mut self.grads[a.idx()], &grad),
                 &Op::Abs(a) => {
                     let ba = self.bufi(a);
                     let (ga, da) = (&mut self.grads[a.idx()], &self.bufs[ba]);
@@ -999,24 +927,6 @@ impl Tape {
                     let (ar, ac) = self.shape(a);
                     let g = grad[0] / (ar * ac).max(1) as f32;
                     self.grads[a.idx()].iter_mut().for_each(|x| *x += g);
-                }
-                &Op::RowSum(a) => {
-                    let (_, ac) = self.shape(a);
-                    let ga = &mut self.grads[a.idx()];
-                    for i2 in 0..rows {
-                        for j in 0..ac {
-                            ga[i2 * ac + j] += grad[i2];
-                        }
-                    }
-                }
-                &Op::RowMean(a) => {
-                    let (_, ac) = self.shape(a);
-                    let ga = &mut self.grads[a.idx()];
-                    for i2 in 0..rows {
-                        for j in 0..ac {
-                            ga[i2 * ac + j] += grad[i2] / ac as f32;
-                        }
-                    }
                 }
                 Op::MaskedSoftmaxRows(a, mask) => {
                     let bo = self.nodes[i].buf as usize;

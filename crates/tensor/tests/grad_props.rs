@@ -82,16 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn grad_row_ops(d in input6()) {
-        check_op(d, |t, x| {
-            let rs = t.row_sum(x);
-            let rm = t.row_mean(x);
-            let c = t.mul(rs, rm);
-            t.sum_all(c)
-        })?;
-    }
-
-    #[test]
     fn grad_transpose_matmul(d in input6()) {
         check_op(d, |t, x| {
             let xt = t.transpose(x); // [3,2]
@@ -159,23 +149,12 @@ proptest! {
     }
 
     #[test]
-    fn grad_scalar_broadcasts(d in input6()) {
-        check_op(d, |t, x| {
-            let s = t.mean_all(x); // [1,1]
-            let y = t.mul_scalar_t(x, s);
-            t.mean_all(y)
-        })?;
-    }
-
-    #[test]
     fn grad_broadcast_rows_cols(d in input6()) {
         check_op(d, |t, x| {
             let row = t.gather_rows(x, &[0]); // [1,3]
             let y = t.add_row(x, row);
             let z = t.mul_row(y, row);
-            let col = t.row_mean(z); // [2,1] — wrong shape for add_col on [2,3]? no: [2,1] OK
-            let w = t.add_col(z, col);
-            t.mean_all(w)
+            t.mean_all(z)
         })?;
     }
 
